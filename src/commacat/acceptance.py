@@ -209,9 +209,9 @@ def hn_restriction(seed: int = 0) -> CriterionResult:
                 continue
             x = cat.obj(a, cat.right.zero_object(),
                         cat.cone.zero_morphism(
-                            _image_of(cat.left_functor, a),
-                            _image_of(cat.right_functor,
-                                      cat.right.zero_object())))
+                            apply_on_object(cat.left_functor, a),
+                            apply_on_object(cat.right_functor,
+                                            cat.right.zero_object())))
             inside = hn_filtration(cat, z, x)
             direct = hn_filtration(component_cat, z_a, a)
             got_steps = tuple(cat.class_vector(s.obj)
@@ -241,10 +241,6 @@ def hn_restriction(seed: int = 0) -> CriterionResult:
     compare(rep_cat, rep, make_comma_stability(z_rep_a, z_rep_b), pad=2)
     return _finish("hn-restriction", t0, failures,
                    {"objects": checked}, budget=0.0)
-
-
-def _image_of(functor, x):
-    return apply_on_object(functor, x)
 
 
 # 5: composition series: policy-independent factors, additive length

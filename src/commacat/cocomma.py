@@ -270,6 +270,18 @@ class CoCommaCategory(CategoryInstance):
         return (self.left.subobject_key(ker_mono),
                 self.right.subobject_key(mono.data[1]))
 
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        # the left key is the kernel of a quotient: a smaller subobject
+        # has a smaller quotient, so a larger kernel
+        return (self.left.subobject_key_leq(outer_key[0], inner_key[0])
+                and self.right.subobject_key_leq(inner_key[1], outer_key[1]))
+
+    @property
+    def subobject_key_order_exact(self) -> bool:
+        # component factorizations form a morphism once F(outer quotient)
+        # can be cancelled from the square, i.e. F keeps epis epi
+        return self.left_functor.right_exact
+
     def is_mono(self, m: Mor) -> bool:
         return self.left.is_epi(m.data[0]) and self.right.is_mono(m.data[1])
 
@@ -342,7 +354,8 @@ def _cocomma_subobjects(cat: CoCommaCategory, x: CoCommaObject) -> tuple:
             if alpha_s is None:
                 continue
             sobj = CoCommaObject(qobj, sub_b.obj, alpha_s)
-            out.append(Subobject(sobj, cat.mor(sobj, x, qmor, sub_b.mono)))
+            out.append(Subobject(sobj, cat.mor(sobj, x, qmor, sub_b.mono),
+                                 (ker_sub.key, sub_b.key)))
     return tuple(out)
 
 

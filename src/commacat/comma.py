@@ -266,6 +266,17 @@ class CommaCategory(CategoryInstance):
         return (self.left.subobject_key(mono.data[0]),
                 self.right.subobject_key(mono.data[1]))
 
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        return (self.left.subobject_key_leq(inner_key[0], outer_key[0])
+                and self.right.subobject_key_leq(inner_key[1], outer_key[1]))
+
+    @property
+    def subobject_key_order_exact(self) -> bool:
+        # component factorizations u_a, u_b form a comma morphism once
+        # G(outer mono) can be cancelled from the square, i.e. G keeps
+        # monos mono
+        return self.right_functor.left_exact
+
     def is_mono(self, m: Mor) -> bool:
         return self.left.is_mono(m.data[0]) and self.right.is_mono(m.data[1])
 
@@ -341,7 +352,8 @@ def _comma_subobjects(cat: CommaCategory, x: CommaObject) -> tuple:
             if alpha_s is None:
                 continue
             sobj = CommaObject(sub_a.obj, sub_b.obj, alpha_s)
-            out.append(Subobject(sobj, cat.mor(sobj, x, sub_a.mono, sub_b.mono)))
+            out.append(Subobject(sobj, cat.mor(sobj, x, sub_a.mono, sub_b.mono),
+                                 (sub_a.key, sub_b.key)))
     return tuple(out)
 
 

@@ -37,10 +37,17 @@ class Mor:
 
 @dataclass(frozen=True)
 class Subobject:
-    """An object together with a chosen mono into the ambient object."""
+    """An object together with a chosen mono into the ambient object.
+
+    key is the instance's canonical key of the subobject, equal to
+    subobject_key(mono).  Enumeration sets it from the data it already
+    holds, and subobject_leq compares keys instead of solving for a
+    factorization.
+    """
 
     obj: Any
     mono: Mor
+    key: Any
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,17 @@ class CategoryInstance(abc.ABC):
     def subobject_key(self, mono: Mor):
         """Hashable canonical key identifying the subobject a mono carves
         out; two monos with the same image get the same key."""
+
+    @abc.abstractmethod
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        """Order on subobject keys.  It holds whenever the inner subobject
+        factors through the outer one; subobject_key_order_exact says
+        whether the converse holds too."""
+
+    @property
+    def subobject_key_order_exact(self) -> bool:
+        """Whether subobject_key_leq alone decides the subobject order."""
+        return True
 
     def is_mono(self, m: Mor) -> bool:
         return self.is_zero_object(self.kernel(m)[0])
@@ -578,7 +596,17 @@ def factor_between(inst: CategoryInstance, inner: Subobject, outer: Subobject):
 
 
 def subobject_leq(inst: CategoryInstance, inner: Subobject, outer: Subobject) -> bool:
-    return try_through_mono(inst, outer.mono, inner.mono) is not None
+    """Whether inner factors through outer, decided by their keys.
+
+    Key containment is necessary.  Where the instance does not declare it
+    sufficient (a glued context opened by assume_abelian without the leg
+    flag the cancellation argument needs), a key-order yes is confirmed by
+    solving for the factorization.
+    """
+    if not inst.subobject_key_leq(inner.key, outer.key):
+        return False
+    return (inst.subobject_key_order_exact
+            or try_through_mono(inst, outer.mono, inner.mono) is not None)
 
 
 # -- whole-instance audit ------------------------------------------------

@@ -214,7 +214,10 @@ def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
         inc_x = _arrow_kernel_incl(m.source, a)
         inc_y = _arrow_kernel_incl(m.target, a)
         restricted = solve(inc_y, m.data[s].mul(inc_x))
-        assert restricted is not None
+        if restricted is None:
+            raise ExactnessViolation(
+                f"the morphism does not carry the kernel of arrow {a} "
+                "into the kernel")
         return Mor(out_source, out_target, restricted)
     if kind == "arrow_cokernel":
         a = f.params[0]
@@ -222,7 +225,9 @@ def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
         pr_x = _arrow_cokernel_proj(m.source, a, m.source.dims[t])
         pr_y = _arrow_cokernel_proj(m.target, a, m.target.dims[t])
         induced = solve_left(pr_x, pr_y.mul(m.data[t]))
-        assert induced is not None
+        if induced is None:
+            raise ExactnessViolation(
+                f"the morphism does not descend to the cokernel of arrow {a}")
         return Mor(out_source, out_target, induced)
     if kind == "tensor":
         w = f.params[0]

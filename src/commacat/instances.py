@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache
 
 from .core import CategoryInstance, Mor, Subobject
-from .errors import ForeignMorphism
+from .errors import ExactnessViolation, ForeignMorphism
 from .linalg import (
     DEFAULT_VECTOR_BUDGET,
     BudgetExceeded,
@@ -150,11 +150,14 @@ class FinVect(CategoryInstance):
     def enumerate_subobjects(self, x) -> tuple:
         out = []
         for s in enumerate_subspaces(x, self.field, self.budget.max_vectors):
-            out.append(Subobject(s.dim, Mor(s.dim, x, s.basis.transpose())))
+            out.append(Subobject(s.dim, Mor(s.dim, x, s.basis.transpose()), s))
         return tuple(out)
 
     def subobject_key(self, mono: Mor):
         return image_basis(mono.data)
+
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        return outer_key.contains_subspace(inner_key)
 
     def is_mono(self, m: Mor) -> bool:
         return rank(m.data) == m.data.cols
@@ -434,7 +437,9 @@ class Rep(CategoryInstance):
         for a, (s, t) in enumerate(self.quiver.arrows):
             # x's arrow map carries Ker(g_s) into Ker(g_t); restrict it
             restricted = solve(incls[t], x.maps[a].mul(incls[s]))
-            assert restricted is not None
+            if restricted is None:
+                raise ExactnessViolation(
+                    f"arrow {a} does not carry the kernel into the kernel")
             kmaps.append(restricted)
         kobj = RepObject(tuple(kdims), tuple(kmaps))
         return kobj, self.mor(kobj, x, incls)
@@ -451,7 +456,9 @@ class Rep(CategoryInstance):
         cmaps = []
         for a, (s, t) in enumerate(self.quiver.arrows):
             induced = solve_left(projs[s], projs[t].mul(y.maps[a]))
-            assert induced is not None
+            if induced is None:
+                raise ExactnessViolation(
+                    f"arrow {a} does not descend to the cokernel")
             cmaps.append(induced)
         cobj = RepObject(tuple(cdims), tuple(cmaps))
         return cobj, self.mor(y, cobj, projs)
@@ -490,22 +497,20 @@ class Rep(CategoryInstance):
             if not ok:
                 continue
             sobj = RepObject(tuple(s.dim for s in combo), tuple(submaps))
-            out.append(Subobject(sobj, self.mor(sobj, x, incls)))
+            out.append(Subobject(sobj, self.mor(sobj, x, incls), combo))
         return tuple(out)
 
     def subobject_key(self, mono: Mor):
         return tuple(image_basis(mat) for mat in mono.data)
+
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        return all(o.contains_subspace(i) for i, o in zip(inner_key, outer_key))
 
     def is_mono(self, m: Mor) -> bool:
         return all(rank(mat) == mat.cols for mat in m.data)
 
     def is_epi(self, m: Mor) -> bool:
         return all(rank(mat) == mat.rows for mat in m.data)
-
-
-def rep_hom_space(rep: Rep, x: RepObject, y: RepObject) -> tuple:
-    """Canonical basis of the intertwiner space Hom(x, y)."""
-    return rep.hom_basis(x, y)
 
 
 def _dim_vectors(n: int, total: int):

@@ -26,6 +26,7 @@ from .core import (
     factor_between,
     subobject_leq,
 )
+from .errors import ExactnessViolation
 from .linalg import BudgetExceeded
 
 
@@ -158,21 +159,31 @@ class SubobjectLattice:
     """The full subobject poset of one ambient object with keys, classes,
     the inclusion relation, and factor data memoized.
 
-    Filtration searches walk this poset heavily; recomputing keys or
-    quotients per step would repeat identical small solves many times.
+    The keys are the ones enumeration carried on each subobject, and the
+    order is core.subobject_leq, which compares them.  Filtration searches
+    walk this poset heavily; recomputing quotients per step would repeat
+    identical small solves many times.
     """
 
     def __init__(self, cat: CategoryInstance, x):
         self.cat = cat
         self.x = x
         self.subs = cat.enumerate_subobjects(x)
-        self.keys = [cat.subobject_key(s.mono) for s in self.subs]
+        self.keys = [s.key for s in self.subs]
         if len(set(self.keys)) != len(self.keys):
             raise AssertionError("subobject enumeration repeated a key")
         self.classes = [cat.class_vector(s.obj) for s in self.subs]
-        self.zero_index = next(i for i, s in enumerate(self.subs)
-                               if cat.is_zero_object(s.obj))
+        self.zero_index = next((i for i, s in enumerate(self.subs)
+                                if cat.is_zero_object(s.obj)), None)
+        if self.zero_index is None:
+            raise ExactnessViolation(
+                f"{cat.describe_object(x)} has no zero subobject; "
+                "the category is not abelian on this object")
         whole_key = cat.subobject_key(cat.identity(x))
+        if whole_key not in self.keys:
+            raise ExactnessViolation(
+                f"{cat.describe_object(x)} is not among its own subobjects; "
+                "the category is not abelian on this object")
         self.whole_index = self.keys.index(whole_key)
         self._leq = {}
         self._factors = {}
