@@ -6,8 +6,10 @@ budget).  Wall-clock time is therefore never part of the report; it goes
 to stderr, while the report's timing section carries deterministic work
 counters.
 
-Exit codes: 0 success, 1 a verification or validation check failed,
-2 an enumeration budget was exhausted, 3 the workspace itself is bad.
+Exit codes: 0 success, 1 a verification or validation check failed or
+the data refused a construction (the report then carries an "error"
+entry), 2 an enumeration budget was exhausted, 3 the workspace itself is
+bad.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from .core import (
     verify_ses,
 )
 from .counterexample import run_counterexample
-from .errors import CapabilityError, SpecError
+from .errors import (
+    CapabilityError,
+    ExactnessViolation,
+    ForeignMorphism,
+    SpecError,
+)
 from .functors import check_functor
 from .jordanholder import jh_filtration
 from .kgroup import cls, decompose
@@ -432,6 +439,8 @@ def _write_report(doc: dict, out_path) -> None:
 def main(argv=None) -> int:
     t0 = time.monotonic()
     parser = build_parser()
+    ws = None
+    error = None
     try:
         args = parser.parse_args(argv)
         spec_path = args.spec or default_workspace_path()
@@ -448,6 +457,13 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"not available in this context: {exc}", file=sys.stderr)
         return 1
+    except (ExactnessViolation, ForeignMorphism) as exc:
+        # a construction the data refused; the report records which one
+        print(f"construction failed: {exc}", file=sys.stderr)
+        if ws is None:
+            return 1
+        code, results, timing = 1, {}, {}
+        error = {"type": type(exc).__name__, "message": str(exc)}
     doc = {
         "schema": REPORT_SCHEMA,
         "command": args.command,
@@ -462,6 +478,8 @@ def main(argv=None) -> int:
         "results": results,
         "timing": {"unit": "logical-checks", **timing},
     }
+    if error is not None:
+        doc["error"] = error
     _write_report(doc, args.out)
     print(f"wall-clock: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     return code

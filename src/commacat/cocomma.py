@@ -92,6 +92,12 @@ class CoCommaCategory(CategoryInstance):
     def abelian_capable(self) -> bool:
         return self.left_functor.right_exact and self.right_functor.left_exact
 
+    @property
+    def additive(self) -> bool:
+        """Whether both legs are additive, which makes the structure-square
+        condition linear in the component morphisms."""
+        return self.left_functor.additive and self.right_functor.additive
+
     def _require_abelian(self) -> None:
         if not (self.abelian_capable or self.assume_abelian):
             raise CapabilityError(
@@ -113,11 +119,21 @@ class CoCommaCategory(CategoryInstance):
             raise ValueError("left component must run from target to source")
         if (g.source, g.target) != (x.b, y.b):
             raise ValueError("right component has wrong endpoints")
-        c = self.cone
-        lhs = c.compose(x.alpha, apply_on_morphism(self.left_functor, f))
-        rhs = c.compose(apply_on_morphism(self.right_functor, g), y.alpha)
-        if lhs != rhs:
+        if not self._square_commutes(x, y, f, g):
             raise ValueError("structure square does not commute")
+        return Mor(x, y, (f, g))
+
+    def _square_commutes(self, x, y, f: Mor, g: Mor) -> bool:
+        c = self.cone
+        return (c.compose(x.alpha, apply_on_morphism(self.left_functor, f))
+                == c.compose(apply_on_morphism(self.right_functor, g), y.alpha))
+
+    def _factored(self, x, y, f, g):
+        """The morphism (f, g) from unique component factorizations, or
+        None when one is missing or the pair breaks the square.  Any
+        factorization restricts to these components, so None is exact."""
+        if f is None or g is None or not self._square_commutes(x, y, f, g):
+            return None
         return Mor(x, y, (f, g))
 
     # objects
@@ -214,6 +230,46 @@ class CoCommaCategory(CategoryInstance):
         f = self.left.mor_from_flat(y.a, x.a, tuple(flat[:k]))
         g = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, f, g)
+
+    def span_from_flat(self, x, y, flat: tuple) -> Mor:
+        if not self.additive:
+            return self.mor_from_flat(x, y, flat)
+        k = _flat_len(self.left, y.a, x.a)
+        return Mor(x, y, (self.left.span_from_flat(y.a, x.a, tuple(flat[:k])),
+                          self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
+
+    def factor_through_mono(self, mono: Mor, m: Mor):
+        """The u with mono o u = m, solved once per component.
+
+        The left component runs backwards, so it factors through the left
+        component of mono, an epi, from the other side.  Needs additive
+        legs and components of mono that are epi on the left and mono on
+        the right, so that each component factorization is unique; one
+        square check then decides.  Otherwise the hom-space solve decides.
+        """
+        self._own(mono)
+        self._own(m)
+        if not (self.additive and self.left.is_epi(mono.data[0])
+                and self.right.is_mono(mono.data[1])):
+            return super().factor_through_mono(mono, m)
+        f = self.left.factor_through_epi(mono.data[0], m.data[0])
+        g = None if f is None else \
+            self.right.factor_through_mono(mono.data[1], m.data[1])
+        return self._factored(m.source, mono.source, f, g)
+
+    def factor_through_epi(self, epi: Mor, m: Mor):
+        """The u with u o epi = m, solved once per component; the mirror of
+        factor_through_mono, with components of epi that are mono on the
+        left and epi on the right."""
+        self._own(epi)
+        self._own(m)
+        if not (self.additive and self.left.is_mono(epi.data[0])
+                and self.right.is_epi(epi.data[1])):
+            return super().factor_through_epi(epi, m)
+        f = self.left.factor_through_mono(epi.data[0], m.data[0])
+        g = None if f is None else \
+            self.right.factor_through_epi(epi.data[1], m.data[1])
+        return self._factored(epi.target, m.target, f, g)
 
     # abelian structure
 

@@ -97,6 +97,12 @@ class CommaCategory(CategoryInstance):
     def abelian_capable(self) -> bool:
         return self.left_functor.right_exact and self.right_functor.left_exact
 
+    @property
+    def additive(self) -> bool:
+        """Whether both legs are additive, which makes the structure-square
+        condition linear in the component morphisms."""
+        return self.left_functor.additive and self.right_functor.additive
+
     def _require_abelian(self) -> None:
         if not (self.abelian_capable or self.assume_abelian):
             raise CapabilityError(
@@ -118,11 +124,21 @@ class CommaCategory(CategoryInstance):
             raise ValueError("left component has wrong endpoints")
         if (gb.source, gb.target) != (x.b, y.b):
             raise ValueError("right component has wrong endpoints")
-        c = self.cone
-        lhs = c.compose(y.alpha, apply_on_morphism(self.left_functor, fa))
-        rhs = c.compose(apply_on_morphism(self.right_functor, gb), x.alpha)
-        if lhs != rhs:
+        if not self._square_commutes(x, y, fa, gb):
             raise ValueError("structure square does not commute")
+        return Mor(x, y, (fa, gb))
+
+    def _square_commutes(self, x, y, fa: Mor, gb: Mor) -> bool:
+        c = self.cone
+        return (c.compose(y.alpha, apply_on_morphism(self.left_functor, fa))
+                == c.compose(apply_on_morphism(self.right_functor, gb), x.alpha))
+
+    def _factored(self, x, y, fa, gb):
+        """The morphism (fa, gb) from unique component factorizations, or
+        None when one is missing or the pair breaks the square.  Any
+        factorization restricts to these components, so None is exact."""
+        if fa is None or gb is None or not self._square_commutes(x, y, fa, gb):
+            return None
         return Mor(x, y, (fa, gb))
 
     # objects
@@ -217,6 +233,43 @@ class CommaCategory(CategoryInstance):
         fa = self.left.mor_from_flat(x.a, y.a, tuple(flat[:k]))
         gb = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, fa, gb)
+
+    def span_from_flat(self, x, y, flat: tuple) -> Mor:
+        if not self.additive:
+            return self.mor_from_flat(x, y, flat)
+        k = _flat_len(self.left, x.a, y.a)
+        return Mor(x, y, (self.left.span_from_flat(x.a, y.a, tuple(flat[:k])),
+                          self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
+
+    def factor_through_mono(self, mono: Mor, m: Mor):
+        """The u with mono o u = m, solved once per component.
+
+        Needs additive legs and both components of mono mono, so that each
+        component factorization is unique; one square check then decides.
+        Otherwise the hom-space solve decides.
+        """
+        self._own(mono)
+        self._own(m)
+        if not (self.additive and self.left.is_mono(mono.data[0])
+                and self.right.is_mono(mono.data[1])):
+            return super().factor_through_mono(mono, m)
+        fa = self.left.factor_through_mono(mono.data[0], m.data[0])
+        gb = None if fa is None else \
+            self.right.factor_through_mono(mono.data[1], m.data[1])
+        return self._factored(m.source, mono.source, fa, gb)
+
+    def factor_through_epi(self, epi: Mor, m: Mor):
+        """The u with u o epi = m, solved once per component; the mirror of
+        factor_through_mono, with both components of epi epi."""
+        self._own(epi)
+        self._own(m)
+        if not (self.additive and self.left.is_epi(epi.data[0])
+                and self.right.is_epi(epi.data[1])):
+            return super().factor_through_epi(epi, m)
+        fa = self.left.factor_through_epi(epi.data[0], m.data[0])
+        gb = None if fa is None else \
+            self.right.factor_through_epi(epi.data[1], m.data[1])
+        return self._factored(epi.target, m.target, fa, gb)
 
     # abelian structure
 

@@ -154,25 +154,59 @@ class CategoryInstance(abc.ABC):
 
     @abc.abstractmethod
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
-        ...
+        """The morphism x -> y with coordinates flat, checked to be one."""
+
+    def span_from_flat(self, x, y, flat: tuple) -> Mor:
+        """The morphism x -> y with coordinates flat, where flat is a linear
+        combination of the flats of morphisms x -> y.
+
+        An instance whose morphism condition is linear in the coordinates
+        may build the result without checking it, because a combination of
+        morphisms satisfies every linear condition they satisfy.  Only the
+        linear operations (add, negate, scale, and combinations of hom-basis
+        elements) call this; the default checks like mor_from_flat.
+        """
+        return self.mor_from_flat(x, y, flat)
 
     def add(self, m1: Mor, m2: Mor) -> Mor:
         if (m1.source, m1.target) != (m2.source, m2.target):
             raise ValueError("cannot add morphisms with different endpoints")
         p = self.field
         flat = tuple((a + b) % p for a, b in zip(self.mor_flat(m1), self.mor_flat(m2)))
-        return self.mor_from_flat(m1.source, m1.target, flat)
+        return self.span_from_flat(m1.source, m1.target, flat)
 
     def negate(self, m: Mor) -> Mor:
         p = self.field
-        return self.mor_from_flat(m.source, m.target,
-                                  tuple(-a % p for a in self.mor_flat(m)))
+        return self.span_from_flat(m.source, m.target,
+                                   tuple(-a % p for a in self.mor_flat(m)))
 
     def scale(self, c: int, m: Mor) -> Mor:
         p = self.field
         c %= p
-        return self.mor_from_flat(m.source, m.target,
-                                  tuple(a * c % p for a in self.mor_flat(m)))
+        return self.span_from_flat(m.source, m.target,
+                                   tuple(a * c % p for a in self.mor_flat(m)))
+
+    def factor_through_mono(self, mono: Mor, m: Mor) -> Optional[Mor]:
+        """The u with mono o u = m, or None when m does not factor through
+        mono.
+
+        Raises ExactnessViolation when a factorization exists but is not
+        unique.  The default solves one linear system over the whole hom
+        space Hom(m.source, mono.source); instances override it with a
+        solve per component where that gives the same answer.
+        """
+        return try_solve_left(self, m.source, mono.source, [(mono, m)])
+
+    def factor_through_epi(self, epi: Mor, m: Mor) -> Optional[Mor]:
+        """The u with u o epi = m, or None when m does not factor through
+        epi.
+
+        Raises ExactnessViolation when a factorization exists but is not
+        unique.  The default solves one linear system over the whole hom
+        space Hom(epi.target, m.target); instances override it with a
+        solve per component where that gives the same answer.
+        """
+        return try_solve_right(self, epi.target, m.target, [(epi, m)])
 
     # -- abelian structure ----------------------------------------------
 
@@ -234,7 +268,19 @@ def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
         if c % p:
             for i, v in enumerate(inst.mor_flat(b)):
                 acc[i] = (acc[i] + c * v) % p
-    return inst.mor_from_flat(x, y, tuple(acc))
+    return inst.span_from_flat(x, y, tuple(acc))
+
+
+NOT_UNIQUE = ("connecting-map system has a non-trivial solution space; "
+              "the construction this solve supports is not valid here")
+_NO_SOLUTION = ("no morphism satisfies the requested {}-composition "
+                "equations; a declared exactness property fails on this data")
+
+
+def _required(u: Optional[Mor], side: str) -> Mor:
+    if u is None:
+        raise ExactnessViolation(_NO_SOLUTION.format(side))
+    return u
 
 
 def _solve_compose(inst, src, tgt, column_of, rhs_flat, unique_required=True):
@@ -256,9 +302,7 @@ def _solve_compose(inst, src, tgt, column_of, rhs_flat, unique_required=True):
     if x is None:
         return None, False
     if unique_required and rank(mat) != len(basis):
-        raise ExactnessViolation(
-            "connecting-map system has a non-trivial solution space; "
-            "the construction this solve supports is not valid here")
+        raise ExactnessViolation(NOT_UNIQUE)
     coords = [x.entry(j, 0) for j in range(len(basis))]
     return _combine(inst, src, tgt, basis, coords), True
 
@@ -283,12 +327,7 @@ def try_solve_right(inst, src, tgt, equations) -> Optional[Mor]:
 
 
 def solve_right(inst, src, tgt, equations) -> Mor:
-    u = try_solve_right(inst, src, tgt, equations)
-    if u is None:
-        raise ExactnessViolation(
-            "no morphism satisfies the requested post-composition equations; "
-            "a declared exactness property fails on this data")
-    return u
+    return _required(try_solve_right(inst, src, tgt, equations), "post")
 
 
 def try_solve_left(inst, src, tgt, equations) -> Optional[Mor]:
@@ -311,30 +350,25 @@ def try_solve_left(inst, src, tgt, equations) -> Optional[Mor]:
 
 
 def solve_left(inst, src, tgt, equations) -> Mor:
-    u = try_solve_left(inst, src, tgt, equations)
-    if u is None:
-        raise ExactnessViolation(
-            "no morphism satisfies the requested pre-composition equations; "
-            "a declared exactness property fails on this data")
-    return u
+    return _required(try_solve_left(inst, src, tgt, equations), "pre")
 
 
 def solve_through_mono(inst, mono: Mor, m: Mor) -> Mor:
     """The unique u with mono o u = m."""
-    return solve_left(inst, m.source, mono.source, [(mono, m)])
+    return _required(inst.factor_through_mono(mono, m), "pre")
 
 
 def try_through_mono(inst, mono: Mor, m: Mor) -> Optional[Mor]:
-    return try_solve_left(inst, m.source, mono.source, [(mono, m)])
+    return inst.factor_through_mono(mono, m)
 
 
 def solve_through_epi(inst, epi: Mor, m: Mor) -> Mor:
     """The unique u with u o epi = m."""
-    return solve_right(inst, epi.target, m.target, [(epi, m)])
+    return _required(inst.factor_through_epi(epi, m), "post")
 
 
 def try_through_epi(inst, epi: Mor, m: Mor) -> Optional[Mor]:
-    return try_solve_right(inst, epi.target, m.target, [(epi, m)])
+    return inst.factor_through_epi(epi, m)
 
 
 def all_homs(inst: CategoryInstance, x, y, max_count: int) -> Iterator[Mor]:
@@ -393,8 +427,7 @@ def induced_morphism(inst: CategoryInstance, m: Mor):
 
 def inverse_of(inst: CategoryInstance, m: Mor) -> Optional[Mor]:
     """Two-sided inverse of m, or None when m is not invertible."""
-    u = try_solve_right(inst, m.target, m.source,
-                        [(m, inst.identity(m.source))])
+    u = try_through_epi(inst, m, inst.identity(m.source))
     if u is None:
         return None
     if inst.compose(m, u) != inst.identity(m.target):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 
-from .core import CategoryInstance, Mor, Subobject
+from .core import NOT_UNIQUE, CategoryInstance, Mor, Subobject
 from .errors import ExactnessViolation, ForeignMorphism
 from .linalg import (
     DEFAULT_VECTOR_BUDGET,
@@ -125,6 +125,34 @@ class FinVect(CategoryInstance):
 
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return Mor(x, y, Matrix.build(y, x, self.field, flat))
+
+    def factor_through_mono(self, mono: Mor, m: Mor):
+        """The u with mono o u = m from one solve of the matrix equation."""
+        self._own(mono)
+        self._own(m)
+        if mono.target != m.target:
+            raise ForeignMorphism("endpoints do not match for composition")
+        u = solve(mono.data, m.data)
+        if u is None:
+            return None
+        # u -> mono o u is injective on Hom(m.source, mono.source) unless
+        # mono has a kernel and that hom space is nonzero
+        if m.source and not self.is_mono(mono):
+            raise ExactnessViolation(NOT_UNIQUE)
+        return Mor(m.source, mono.source, u)
+
+    def factor_through_epi(self, epi: Mor, m: Mor):
+        """The u with u o epi = m from one solve of the matrix equation."""
+        self._own(epi)
+        self._own(m)
+        if epi.source != m.source:
+            raise ForeignMorphism("endpoints do not match for composition")
+        u = solve_left(epi.data, m.data)
+        if u is None:
+            return None
+        if m.target and not self.is_epi(epi):
+            raise ExactnessViolation(NOT_UNIQUE)
+        return Mor(epi.target, m.target, u)
 
     # abelian structure
 
@@ -249,14 +277,6 @@ class Rep(CategoryInstance):
             if m.modulus != self.field or (m.rows, m.cols) != (dims[t], dims[s]):
                 raise ValueError(f"arrow matrix {a} has the wrong shape or field")
         return RepObject(dims, maps)
-
-    def obj_from_rows(self, dims, map_rows) -> RepObject:
-        mats = []
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            rows = map_rows[a]
-            mats.append(Matrix.from_rows(rows, self.field, cols=dims[s])
-                        if rows else Matrix.zero(dims[t], dims[s], self.field))
-        return self.obj(dims, mats)
 
     # objects
 
@@ -411,7 +431,7 @@ class Rep(CategoryInstance):
             out.extend(mat.entries)
         return tuple(out)
 
-    def mor_from_flat(self, x, y, flat: tuple) -> Mor:
+    def _vertex_matrices(self, x, y, flat: tuple) -> tuple:
         off, total = self._vertex_offsets(x, y)
         if len(flat) != total:
             raise ValueError("flat length mismatch")
@@ -420,7 +440,48 @@ class Rep(CategoryInstance):
             size = y.dims[v] * x.dims[v]
             mats.append(Matrix.build(y.dims[v], x.dims[v], self.field,
                                      flat[off[v]:off[v] + size]))
-        return self.mor(x, y, mats)
+        return tuple(mats)
+
+    def mor_from_flat(self, x, y, flat: tuple) -> Mor:
+        return self.mor(x, y, self._vertex_matrices(x, y, flat))
+
+    def span_from_flat(self, x, y, flat: tuple) -> Mor:
+        # intertwining is linear in the vertex maps
+        return Mor(x, y, self._vertex_matrices(x, y, flat))
+
+    def factor_through_mono(self, mono: Mor, m: Mor):
+        """The u with mono o u = m, solved vertex by vertex.
+
+        With every vertex map of mono injective the vertex solutions are
+        unique and intertwine; otherwise the hom-space solve decides.
+        """
+        self._own(mono)
+        self._own(m)
+        if not self.is_mono(mono):
+            return super().factor_through_mono(mono, m)
+        if mono.target != m.target:
+            raise ForeignMorphism("endpoints do not match for composition")
+        parts = [solve(a, b) for a, b in zip(mono.data, m.data)]
+        if any(u is None for u in parts):
+            return None
+        return self.mor(m.source, mono.source, parts)
+
+    def factor_through_epi(self, epi: Mor, m: Mor):
+        """The u with u o epi = m, solved vertex by vertex.
+
+        With every vertex map of epi surjective the vertex solutions are
+        unique and intertwine; otherwise the hom-space solve decides.
+        """
+        self._own(epi)
+        self._own(m)
+        if not self.is_epi(epi):
+            return super().factor_through_epi(epi, m)
+        if epi.source != m.source:
+            raise ForeignMorphism("endpoints do not match for composition")
+        parts = [solve_left(a, b) for a, b in zip(epi.data, m.data)]
+        if any(u is None for u in parts):
+            return None
+        return self.mor(epi.target, m.target, parts)
 
     # abelian structure
 

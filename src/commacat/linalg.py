@@ -61,54 +61,6 @@ def check_prime(p: int) -> None:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """A scalar in F_p, normalized to the range [0, p)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
-
-    @classmethod
-    def of(cls, value: int, modulus: int) -> "FieldElement":
-        check_prime(modulus)
-        return cls(value % modulus, modulus)
-
-    def _match(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ShapeError("mixed moduli")
-
-    def __add__(self, other):
-        self._match(other)
-        return FieldElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        self._match(other)
-        return FieldElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        self._match(other)
-        return FieldElement(self.value * other.value % self.modulus, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __bool__(self):
-        return self.value != 0
-
-
-@dataclass(frozen=True)
 class Matrix:
     """Row-major matrix over F_p with entries stored as reduced ints."""
 
@@ -126,9 +78,20 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        for e in self.entries:
-            if not 0 <= e < self.modulus:
-                raise ShapeError(f"entry {e} not reduced mod {self.modulus}")
+        if self.entries and (min(self.entries) < 0
+                             or max(self.entries) >= self.modulus):
+            bad = next(e for e in self.entries if not 0 <= e < self.modulus)
+            raise ShapeError(f"entry {bad} not reduced mod {self.modulus}")
+
+    def __hash__(self) -> int:
+        # matrices key the rref and hom-space caches and sit inside every
+        # morphism and object key, so the entry tuple is hashed once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rows, self.cols, self.modulus, self.entries))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @classmethod
     def build(cls, rows: int, cols: int, modulus: int, entries) -> "Matrix":
@@ -159,9 +122,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
-
-    def elem(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.entry(i, j), self.modulus)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -225,11 +185,6 @@ class Matrix:
                             for j in range(self.cols) for i in range(self.rows)))
 
 
-def compose(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix of the composite map (apply b first, then a)."""
-    return a.mul(b)
-
-
 def hstack(mats) -> Matrix:
     mats = list(mats)
     if not mats:
@@ -277,10 +232,6 @@ def block_diag(mats) -> Matrix:
         r0 += m.rows
         c0 += m.cols
     return Matrix.from_rows(out, p, cols=cols) if rows else Matrix(0, cols, p, ())
-
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    return block_diag([a, b])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -176,6 +176,44 @@ def test_exit_1_on_false_declaration(tmp_path):
     assert doc["results"]["functors"]["crush"]["flag_mismatches"]
 
 
+def test_exit_1_with_report_on_exactness_violation(tmp_path):
+    """A construction the data refuses (here: an assume_abelian context
+    whose object has no zero subobject) exits 1 with one stderr line and
+    still writes its report, carrying the error."""
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"vect": {"kind": "finvect"}},
+        "functors": {
+            "shift": {"kind": "one_plus", "category": "vect"},
+            "carrier": {"kind": "identity", "category": "vect"},
+        },
+        "contexts": {
+            "broken": {"kind": "comma", "left": "shift", "right": "carrier",
+                       "assume_abelian": True},
+        },
+        "objects": {
+            "zero": {"category": "vect", "dim": 0},
+            "line": {"category": "vect", "dim": 1},
+            "x": {"context": "broken", "a": "zero", "b": "line",
+                  "alpha": [[1]]},
+        },
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    proc = run_cli("jh", "x", "--spec", str(path), "--out", str(out),
+                   check_code=1)
+    assert "Traceback" not in proc.stderr
+    failures = [line for line in proc.stderr.splitlines()
+                if line.startswith("construction failed:")]
+    assert len(failures) == 1
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    assert doc["error"]["type"] == "ExactnessViolation"
+    assert "no zero subobject" in doc["error"]["message"]
+
+
 def bundled(name):
     from commacat.cli import bundled_workspace_path
     return bundled_workspace_path(name)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from commacat.linalg import (
     BudgetExceeded,
-    FieldElement,
     Matrix,
     ShapeError,
     Subspace,
@@ -42,7 +41,7 @@ def mat2(rows):
     return Matrix.from_rows(rows, 2)
 
 
-# -- field scalars -------------------------------------------------------
+# -- moduli --------------------------------------------------------------
 
 
 def test_check_prime_rejects_composites():
@@ -51,24 +50,6 @@ def test_check_prime_rejects_composites():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             check_prime(bad)
-
-
-def test_field_element_arithmetic():
-    a = FieldElement.of(3, 5)
-    b = FieldElement.of(4, 5)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (a - b).value == 4
-    assert (-a).value == 2
-    assert (a / b).value == (3 * 4) % 5  # 4^-1 = 4 mod 5
-    assert a.inverse().value == 2
-    with pytest.raises(ZeroDivisionError):
-        FieldElement.of(0, 5).inverse()
-
-
-def test_field_element_modulus_mismatch():
-    with pytest.raises(ValueError):
-        FieldElement.of(1, 2) + FieldElement.of(1, 3)
 
 
 # -- matrix construction and block ops -----------------------------------
