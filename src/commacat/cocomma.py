@@ -25,7 +25,6 @@ from .core import (
     Mor,
     Subobject,
     _combine,
-    _flat_len,
     all_homs,
     hom_dim,
     random_hom,
@@ -225,8 +224,12 @@ class CoCommaCategory(CategoryInstance):
     def mor_flat(self, m: Mor) -> tuple:
         return self.left.mor_flat(m.data[0]) + self.right.mor_flat(m.data[1])
 
+    def flat_len(self, x, y) -> int:
+        # the left component runs backwards, as in mor_flat
+        return self.left.flat_len(y.a, x.a) + self.right.flat_len(x.b, y.b)
+
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
-        k = _flat_len(self.left, y.a, x.a)
+        k = self.left.flat_len(y.a, x.a)
         f = self.left.mor_from_flat(y.a, x.a, tuple(flat[:k]))
         g = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, f, g)
@@ -234,7 +237,7 @@ class CoCommaCategory(CategoryInstance):
     def span_from_flat(self, x, y, flat: tuple) -> Mor:
         if not self.additive:
             return self.mor_from_flat(x, y, flat)
-        k = _flat_len(self.left, y.a, x.a)
+        k = self.left.flat_len(y.a, x.a)
         return Mor(x, y, (self.left.span_from_flat(y.a, x.a, tuple(flat[:k])),
                           self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
 
@@ -352,7 +355,7 @@ def _cocomma_hom_basis(cat: CoCommaCategory, x: CoCommaObject,
     f_basis = a_cat.hom_basis(y.a, x.a)
     g_basis = b_cat.hom_basis(x.b, y.b)
     if cat.left_functor.additive and cat.right_functor.additive:
-        pair_len = _flat_len(a_cat, y.a, x.a) + _flat_len(b_cat, x.b, y.b)
+        pair_len = cat.flat_len(x, y)
         cols = []
         for phi in f_basis:
             cols.append(c.mor_flat(

@@ -24,7 +24,6 @@ from .core import (
     ShortExactSequence,
     Subobject,
     _combine,
-    _flat_len,
     all_homs,
     hom_dim,
     random_hom,
@@ -228,8 +227,11 @@ class CommaCategory(CategoryInstance):
     def mor_flat(self, m: Mor) -> tuple:
         return self.left.mor_flat(m.data[0]) + self.right.mor_flat(m.data[1])
 
+    def flat_len(self, x, y) -> int:
+        return self.left.flat_len(x.a, y.a) + self.right.flat_len(x.b, y.b)
+
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
-        k = _flat_len(self.left, x.a, y.a)
+        k = self.left.flat_len(x.a, y.a)
         fa = self.left.mor_from_flat(x.a, y.a, tuple(flat[:k]))
         gb = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, fa, gb)
@@ -237,7 +239,7 @@ class CommaCategory(CategoryInstance):
     def span_from_flat(self, x, y, flat: tuple) -> Mor:
         if not self.additive:
             return self.mor_from_flat(x, y, flat)
-        k = _flat_len(self.left, x.a, y.a)
+        k = self.left.flat_len(x.a, y.a)
         return Mor(x, y, (self.left.span_from_flat(x.a, y.a, tuple(flat[:k])),
                           self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
 
@@ -351,7 +353,7 @@ def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tupl
     fa_basis = a_cat.hom_basis(x.a, y.a)
     gb_basis = b_cat.hom_basis(x.b, y.b)
     if cat.left_functor.additive and cat.right_functor.additive:
-        pair_len = _flat_len(a_cat, x.a, y.a) + _flat_len(b_cat, x.b, y.b)
+        pair_len = cat.flat_len(x, y)
         cols = []
         for phi in fa_basis:
             cols.append(c.mor_flat(

@@ -152,6 +152,11 @@ class CategoryInstance(abc.ABC):
     def mor_flat(self, m: Mor) -> tuple:
         ...
 
+    def flat_len(self, x, y) -> int:
+        """Number of coordinates of a morphism x -> y.  The default counts
+        them on the zero morphism; instances override it with arithmetic."""
+        return len(self.mor_flat(self.zero_morphism(x, y)))
+
     @abc.abstractmethod
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         """The morphism x -> y with coordinates flat, checked to be one."""
@@ -257,13 +262,9 @@ def hom_dim(inst: CategoryInstance, x, y) -> int:
     return len(inst.hom_basis(x, y))
 
 
-def _flat_len(inst, x, y) -> int:
-    return len(inst.mor_flat(inst.zero_morphism(x, y)))
-
-
 def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
     p = inst.field
-    acc = [0] * _flat_len(inst, x, y)
+    acc = [0] * inst.flat_len(x, y)
     for c, b in zip(coords, basis):
         if c % p:
             for i, v in enumerate(inst.mor_flat(b)):
@@ -427,7 +428,11 @@ def induced_morphism(inst: CategoryInstance, m: Mor):
 
 def inverse_of(inst: CategoryInstance, m: Mor) -> Optional[Mor]:
     """Two-sided inverse of m, or None when m is not invertible."""
-    u = try_through_epi(inst, m, inst.identity(m.source))
+    try:
+        u = try_through_epi(inst, m, inst.identity(m.source))
+    except ExactnessViolation:
+        # left inverses exist but are not unique, so m is not epi
+        return None
     if u is None:
         return None
     if inst.compose(m, u) != inst.identity(m.target):

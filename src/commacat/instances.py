@@ -123,6 +123,9 @@ class FinVect(CategoryInstance):
     def mor_flat(self, m: Mor) -> tuple:
         return m.data.entries
 
+    def flat_len(self, x, y) -> int:
+        return x * y
+
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return Mor(x, y, Matrix.build(y, x, self.field, flat))
 
@@ -430,6 +433,9 @@ class Rep(CategoryInstance):
         for mat in m.data:
             out.extend(mat.entries)
         return tuple(out)
+
+    def flat_len(self, x, y) -> int:
+        return sum(dy * dx for dy, dx in zip(y.dims, x.dims))
 
     def _vertex_matrices(self, x, y, flat: tuple) -> tuple:
         off, total = self._vertex_offsets(x, y)

@@ -71,13 +71,8 @@ class Matrix:
 
     def __post_init__(self):
         check_prime(self.modulus)
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
-            )
+        _check_shape(self.rows, self.cols)
+        _check_count(self.rows, self.cols, self.entries)
         if self.entries and (min(self.entries) < 0
                              or max(self.entries) >= self.modulus):
             bad = next(e for e in self.entries if not 0 <= e < self.modulus)
@@ -96,7 +91,10 @@ class Matrix:
     @classmethod
     def build(cls, rows: int, cols: int, modulus: int, entries) -> "Matrix":
         check_prime(modulus)
-        return cls(rows, cols, modulus, tuple(int(e) % modulus for e in entries))
+        _check_shape(rows, cols)
+        entries = tuple(int(e) % modulus for e in entries)
+        _check_count(rows, cols, entries)
+        return _made(rows, cols, modulus, entries)
 
     @classmethod
     def from_rows(cls, row_seq, modulus: int, cols: int | None = None) -> "Matrix":
@@ -114,11 +112,16 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, modulus: int) -> "Matrix":
-        return cls(rows, cols, modulus, (0,) * (rows * cols))
+        check_prime(modulus)
+        _check_shape(rows, cols)
+        return _made(rows, cols, modulus, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> "Matrix":
-        return cls(n, n, modulus, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        check_prime(modulus)
+        _check_shape(n, n)
+        return _made(n, n, modulus,
+                     tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -150,7 +153,7 @@ class Matrix:
                 for k in range(self.cols):
                     acc += ri[k] * other.entries[k * other.cols + j]
                 out.append(acc % p)
-        return Matrix(self.rows, other.cols, p, tuple(out))
+        return _made(self.rows, other.cols, p, tuple(out))
 
     def _match(self, other: "Matrix") -> None:
         if self.modulus != other.modulus:
@@ -161,28 +164,55 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         self._match(other)
         p = self.modulus
-        return Matrix(self.rows, self.cols, p,
-                      tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
+        return _made(self.rows, self.cols, p,
+                     tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._match(other)
         p = self.modulus
-        return Matrix(self.rows, self.cols, p,
-                      tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
+        return _made(self.rows, self.cols, p,
+                     tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
 
     def neg(self) -> "Matrix":
         p = self.modulus
-        return Matrix(self.rows, self.cols, p, tuple(-a % p for a in self.entries))
+        return _made(self.rows, self.cols, p, tuple(-a % p for a in self.entries))
 
     def scale(self, c: int) -> "Matrix":
         p = self.modulus
         c %= p
-        return Matrix(self.rows, self.cols, p, tuple(a * c % p for a in self.entries))
+        return _made(self.rows, self.cols, p, tuple(a * c % p for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, self.modulus,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
+        return _made(self.cols, self.rows, self.modulus,
+                     tuple(self.entries[i * self.cols + j]
+                           for j in range(self.cols) for i in range(self.rows)))
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ShapeError("negative dimensions")
+
+
+def _check_count(rows: int, cols: int, entries: tuple) -> None:
+    if len(entries) != rows * cols:
+        raise ShapeError(
+            f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+
+
+_set = object.__setattr__
+
+
+def _made(rows: int, cols: int, modulus: int, entries: tuple) -> Matrix:
+    """A Matrix without the checks of __post_init__, for results that are
+    valid by construction: a prime modulus already checked, nonnegative
+    dimensions, rows * cols entries, each reduced mod the modulus.  The
+    public constructors validate; arithmetic on valid matrices trusts."""
+    m = object.__new__(Matrix)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "modulus", modulus)
+    _set(m, "entries", entries)
+    return m
 
 
 def hstack(mats) -> Matrix:
@@ -197,7 +227,7 @@ def hstack(mats) -> Matrix:
     for i in range(rows):
         for m in mats:
             out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in mats), p, tuple(out))
+    return _made(rows, sum(m.cols for m in mats), p, tuple(out))
 
 
 def vstack(mats) -> Matrix:
@@ -211,7 +241,7 @@ def vstack(mats) -> Matrix:
     flat = []
     for m in mats:
         flat.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, p, tuple(flat))
+    return _made(sum(m.rows for m in mats), cols, p, tuple(flat))
 
 
 def block_diag(mats) -> Matrix:
@@ -221,17 +251,17 @@ def block_diag(mats) -> Matrix:
     p = mats[0].modulus
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
+    out = [0] * (rows * cols)
     r0 = c0 = 0
     for m in mats:
         if m.modulus != p:
             raise ShapeError("mixed moduli")
         for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.entry(i, j)
+            start = (r0 + i) * cols + c0
+            out[start:start + m.cols] = m.row(i)
         r0 += m.rows
         c0 += m.cols
-    return Matrix.from_rows(out, p, cols=cols) if rows else Matrix(0, cols, p, ())
+    return _made(rows, cols, p, tuple(out))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -246,7 +276,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 aa = a.entry(ia, ja)
                 for jb in range(b.cols):
                     out.append(aa * b.entry(ib, jb) % p)
-    return Matrix(rows, cols, p, tuple(out))
+    return _made(rows, cols, p, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -283,7 +313,7 @@ def rref(m: Matrix) -> RrefResult:
         if r == m.rows:
             break
     flat = tuple(x % p for row in work for x in row)
-    return RrefResult(Matrix(m.rows, m.cols, p, flat), tuple(pivots), r)
+    return RrefResult(_made(m.rows, m.cols, p, flat), tuple(pivots), r)
 
 
 def rank(m: Matrix) -> int:
@@ -382,18 +412,16 @@ def solve(m: Matrix, target: Matrix):
         raise ShapeError("mixed moduli")
     if m.rows != target.rows:
         raise ShapeError("solve: row mismatch")
-    aug = hstack([m, target]) if m.cols + target.cols else Matrix(m.rows, 0, m.modulus, ())
+    aug = hstack([m, target]) if m.cols + target.cols else _made(m.rows, 0, m.modulus, ())
     r = rref(aug)
     for pc in r.pivots:
         if pc >= m.cols:
             return None
-    out = [[0] * target.cols for _ in range(m.cols)]
+    n = target.cols
+    out = [0] * (m.cols * n)
     for i, pc in enumerate(r.pivots):
-        for j in range(target.cols):
-            out[pc][j] = r.matrix.entry(i, m.cols + j)
-    if m.cols == 0:
-        return Matrix(0, target.cols, m.modulus, ())
-    return Matrix.from_rows(out, m.modulus, cols=target.cols)
+        out[pc * n:(pc + 1) * n] = r.matrix.row(i)[m.cols:]
+    return _made(m.cols, n, m.modulus, tuple(out))
 
 
 def solve_left(m: Matrix, target: Matrix):
@@ -421,7 +449,7 @@ def quotient_map(ambient_dim: int, s: Subspace):
     p = s.modulus
     q = ambient_dim - s.dim
     if ambient_dim == 0:
-        return Matrix(0, 0, p, ()), 0
+        return _made(0, 0, p, ()), 0
     pivots = set(rref(s.basis).pivots)
     complement = [c for c in range(ambient_dim) if c not in pivots]
     cols = [s.basis.row(i) for i in range(s.dim)]
@@ -430,7 +458,7 @@ def quotient_map(ambient_dim: int, s: Subspace):
     inv = inverse(basis_mat)
     proj_rows = [list(inv.row(i)) for i in range(s.dim, ambient_dim)]
     if not proj_rows:
-        return Matrix(0, ambient_dim, p, ()), 0
+        return _made(0, ambient_dim, p, ()), 0
     return Matrix.from_rows(proj_rows, p, cols=ambient_dim), q
 
 

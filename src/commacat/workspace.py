@@ -98,6 +98,37 @@ def _need(table: dict, key: str, where: str):
     return table[key]
 
 
+def _name(table: dict, key: str, where: str) -> str:
+    """A required field that names another entry of the workspace."""
+    value = _need(table, key, where)
+    if not isinstance(value, str):
+        raise SpecError(f"{where}.{key} must be a name, got {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str) -> dict:
+    """A top-level table of named entries, each a JSON object."""
+    table = doc.get(key, {})
+    if not isinstance(table, dict):
+        raise SpecError(f"{key} must be an object of named entries")
+    for name, entry in table.items():
+        if not isinstance(entry, dict):
+            raise SpecError(f"{key}.{name} must be an object")
+    return table
+
+
+def _count(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise SpecError(f"{where} must be a nonnegative integer")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SpecError(f"{where} must be true or false")
+    return value
+
+
 def _build_matrix(rows: int, cols: int, p: int, data, where: str) -> Matrix:
     if not isinstance(data, list) or len(data) != rows or \
             any(not isinstance(r, list) or len(r) != cols for r in data):
@@ -113,14 +144,15 @@ def _build_matrix(rows: int, cols: int, p: int, data, where: str) -> Matrix:
 
 def _instance_object(cat, entry: dict, p: int, where: str):
     if isinstance(cat, FinVect):
-        dim = _need(entry, "dim", where)
-        if not isinstance(dim, int) or dim < 0:
-            raise SpecError(f"{where}: dim must be a nonnegative integer")
-        return dim
+        return _count(_need(entry, "dim", where), f"{where}.dim")
     if isinstance(cat, Rep):
         dims = _need(entry, "dims", where)
+        if not isinstance(dims, list) or len(dims) != cat.quiver.vertices:
+            raise SpecError(f"{where}: need one dimension per quiver vertex")
+        dims = [_count(d, f"{where}.dims") for d in dims]
         raw_maps = _need(entry, "maps", where)
-        if len(raw_maps) != len(cat.quiver.arrows):
+        if not isinstance(raw_maps, list) or \
+                len(raw_maps) != len(cat.quiver.arrows):
             raise SpecError(f"{where}: need one matrix per quiver arrow")
         maps = []
         for a, (s, t) in enumerate(cat.quiver.arrows):
@@ -153,17 +185,17 @@ def _instance_component(cat, src, tgt, data, p: int, where: str) -> Mor:
 def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
     where = f"functors.{name}"
     kind = _need(entry, "kind", where)
-    src = ws.categories.get(_need(entry, "category", where))
+    src = ws.categories.get(_name(entry, "category", where))
     if src is None:
         raise SpecError(f"{where}: unknown source category")
     tgt = src
     if "target" in entry:
-        tgt = ws.categories.get(entry["target"])
+        tgt = ws.categories.get(_name(entry, "target", where))
         if tgt is None:
             raise SpecError(f"{where}: unknown target category")
 
     def named_object(key, home):
-        oname = _need(entry, key, where)
+        oname = _name(entry, key, where)
         if oname not in ws.objects:
             raise SpecError(f"{where}: unknown object {oname!r}")
         home_name, obj = ws.objects[oname]
@@ -188,7 +220,7 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
         elif kind == "arrow_cokernel":
             spec = arrow_cokernel(src, _need(entry, "arrow", where), tgt)
         elif kind == "tensor":
-            spec = tensor(src, _need(entry, "dim", where))
+            spec = tensor(src, _count(_need(entry, "dim", where), f"{where}.dim"))
         elif kind == "one_plus":
             spec = one_plus(src)
         elif kind == "constant":
@@ -198,13 +230,15 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
     except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     declare = entry.get("declare", {})
+    if not isinstance(declare, dict):
+        raise SpecError(f"{where}: declare must be an object of flags")
     if declare:
         allowed = {"additive", "left_exact", "right_exact"}
         bad = set(declare) - allowed
         if bad:
             raise SpecError(f"{where}: cannot re-declare {sorted(bad)}")
-        spec = dataclasses.replace(spec, **{k: bool(v)
-                                            for k, v in declare.items()})
+        spec = dataclasses.replace(spec, **{
+            k: _flag(v, f"{where}.declare.{k}") for k, v in declare.items()})
     return spec
 
 
@@ -223,6 +257,8 @@ def _build_stability(name: str, entry: dict) -> StabilityFunction:
             raise SpecError(f"{where}: weights must be [x, y]")
         weights = (parse_rational(w[0]), parse_rational(w[1]))
     left_rank = entry.get("left_rank")
+    if left_rank is not None:
+        _count(left_rank, f"{where}.left_rank")
     try:
         return StabilityFunction(tuple(coeffs), weights=weights,
                                  left_rank=left_rank)
@@ -261,59 +297,67 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
     if not isinstance(p, int) or p < 2:
         raise SpecError("field_modulus must be a prime integer")
     budget_doc = doc.get("budget", {})
-    max_vectors = budget_doc.get("max_vectors", Budget().max_vectors)
+    if not isinstance(budget_doc, dict):
+        raise SpecError("budget must be an object")
+    max_vectors = _count(budget_doc.get("max_vectors", Budget().max_vectors),
+                         "budget.max_vectors")
     if budget_override is not None:
-        max_vectors = budget_override
+        max_vectors = _count(budget_override, "the budget override")
     budget = Budget(max_vectors=max_vectors,
-                    max_total_dim=budget_doc.get("max_total_dim",
-                                                 Budget().max_total_dim))
+                    max_total_dim=_count(budget_doc.get("max_total_dim",
+                                                        Budget().max_total_dim),
+                                         "budget.max_total_dim"))
     seed = doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise SpecError("seed must be an integer")
     if seed_override is not None:
         seed = seed_override
     digest = "sha256:" + hashlib.sha256(raw_bytes).hexdigest()
     ws = Workspace(path=path, digest=digest, field_modulus=p, budget=budget,
                    seed=seed)
 
-    for name, entry in doc.get("categories", {}).items():
+    for name, entry in _section(doc, "categories").items():
         where = f"categories.{name}"
         kind = _need(entry, "kind", where)
         try:
             if kind == "finvect":
                 ws.categories[name] = FinVect(p, budget)
             elif kind == "quiver":
-                q = Quiver(_need(entry, "vertices", where),
+                q = Quiver(_count(_need(entry, "vertices", where),
+                                  f"{where}.vertices"),
                            tuple(tuple(a) for a in
                                  _need(entry, "arrows", where)))
                 ws.categories[name] = Rep(q, p, budget)
             else:
                 raise SpecError(f"{where}: unknown category kind {kind!r}")
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise SpecError(f"{where}: {exc}") from exc
 
     # instance-level objects first: functor parameters may name them
     context_objects = {}
-    for name, entry in doc.get("objects", {}).items():
+    for name, entry in _section(doc, "objects").items():
         where = f"objects.{name}"
         if "context" in entry:
             context_objects[name] = entry
             continue
-        cat_name = _need(entry, "category", where)
+        cat_name = _name(entry, "category", where)
         cat = ws.categories.get(cat_name)
         if cat is None:
             raise SpecError(f"{where}: unknown category {cat_name!r}")
         ws.objects[name] = (cat_name, _instance_object(cat, entry, p, where))
 
-    for name, entry in doc.get("functors", {}).items():
+    for name, entry in _section(doc, "functors").items():
         ws.functors[name] = _build_functor(ws, name, entry)
 
-    for name, entry in doc.get("contexts", {}).items():
+    for name, entry in _section(doc, "contexts").items():
         where = f"contexts.{name}"
         kind = _need(entry, "kind", where)
-        left = ws.functors.get(_need(entry, "left", where))
-        right = ws.functors.get(_need(entry, "right", where))
+        left = ws.functors.get(_name(entry, "left", where))
+        right = ws.functors.get(_name(entry, "right", where))
         if left is None or right is None:
             raise SpecError(f"{where}: unknown functor name")
-        assume = bool(entry.get("assume_abelian", False))
+        assume = _flag(entry.get("assume_abelian", False),
+                       f"{where}.assume_abelian")
         try:
             if kind == "comma":
                 ws.contexts[name] = CommaCategory(left, right, budget, assume)
@@ -327,12 +371,12 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
 
     for name, entry in context_objects.items():
         where = f"objects.{name}"
-        ctx_name = entry["context"]
+        ctx_name = _name(entry, "context", where)
         ctx = ws.contexts.get(ctx_name)
         if ctx is None:
             raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        a = _resolve_component(ws, ctx.left, _need(entry, "a", where), where)
-        b = _resolve_component(ws, ctx.right, _need(entry, "b", where), where)
+        a = _resolve_component(ws, ctx.left, _name(entry, "a", where), where)
+        b = _resolve_component(ws, ctx.right, _name(entry, "b", where), where)
         fa = apply_on_object(ctx.left_functor, a)
         gb = apply_on_object(ctx.right_functor, b)
         alpha = _instance_component(ctx.cone, fa, gb,
@@ -343,15 +387,15 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
         except ValueError as exc:
             raise SpecError(f"{where}: {exc}") from exc
 
-    for name, entry in doc.get("morphisms", {}).items():
+    for name, entry in _section(doc, "morphisms").items():
         where = f"morphisms.{name}"
-        ctx_name = _need(entry, "context", where)
+        ctx_name = _name(entry, "context", where)
         ctx = ws.contexts.get(ctx_name)
         if ctx is None:
             raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        src = _named_context_object(ws, ctx_name, _need(entry, "source", where),
+        src = _named_context_object(ws, ctx_name, _name(entry, "source", where),
                                     where)
-        tgt = _named_context_object(ws, ctx_name, _need(entry, "target", where),
+        tgt = _named_context_object(ws, ctx_name, _name(entry, "target", where),
                                     where)
         if isinstance(ctx, CommaCategory):
             f_src, f_tgt = src.a, tgt.a
@@ -368,7 +412,7 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
         except ValueError as exc:
             raise SpecError(f"{where}: {exc}") from exc
 
-    for name, entry in doc.get("stability", {}).items():
+    for name, entry in _section(doc, "stability").items():
         kind = entry.get("kind", "table")
         if kind == "table":
             ws.stability[name] = _build_stability(name, entry)
@@ -377,14 +421,14 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
         else:
             raise SpecError(f"stability.{name}: unknown kind {kind!r}")
 
-    for name, entry in doc.get("scans", {}).items():
+    for name, entry in _section(doc, "scans").items():
         where = f"scans.{name}"
-        ctx_name = _need(entry, "context", where)
+        ctx_name = _name(entry, "context", where)
         if ctx_name not in ws.contexts:
             raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        obj_name = _need(entry, "object", where)
+        obj_name = _name(entry, "object", where)
         _named_context_object(ws, ctx_name, obj_name, where)
-        geom_name = _need(entry, "geometry", where)
+        geom_name = _name(entry, "geometry", where)
         if geom_name not in ws.geometries:
             raise SpecError(f"{where}: unknown geometry {geom_name!r}")
         ws.scans[name] = {

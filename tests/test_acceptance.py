@@ -4,6 +4,7 @@ One PASS/FAIL line per criterion.  A red line here is a real regression;
 fix the library, never the bound.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -21,6 +22,11 @@ KEYS = (
     "cocomma-suite",
     "wall-scan",
 )
+
+# sha256 of the seed-0 selftest report: a change that alters a certified
+# answer, a counter or the report layout changes it, and must say why
+SELFTEST_SEED0_SHA256 = (
+    "0e367cf3fc5eff66764b5e04c852f971a5ad78878065afa530798b01e29949f9")
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +65,4 @@ def test_selftest_reports_are_byte_identical(tmp_path):
     verdict = "PASS" if blobs[0] == blobs[1] else "FAIL"
     print(f"[{verdict}] selftest-determinism: {len(blobs[0])} bytes")
     assert blobs[0] == blobs[1]
+    assert hashlib.sha256(blobs[0]).hexdigest() == SELFTEST_SEED0_SHA256

@@ -151,6 +151,59 @@ def test_exit_2_on_exhausted_budget():
     run_cli("validate", "--budget", "0", check_code=2)
 
 
+def test_exit_3_on_negative_budget():
+    run_cli("validate", "--budget", "-1", check_code=3)
+
+
+QUIVER = {"kind": "quiver", "vertices": 2, "arrows": [[0, 1]]}
+VALIDATE = ("validate",)
+# each case: edits to the bundled arrow workspace, as (path..., value),
+# and the command run on the result
+MALFORMED = {
+    "max-vectors-not-a-number": ([("budget", "max_vectors", "big")],
+                                 ("subobjects", "arrow", "identity_map")),
+    "budget-not-an-object": ([("budget", [])], VALIDATE),
+    "categories-as-a-list": ([("categories", [{"kind": "finvect"}])], VALIDATE),
+    "object-entry-not-an-object": ([("objects", "line", 3)], VALIDATE),
+    "dim-true": ([("objects", "line", "dim", True)], VALIDATE),
+    "seed-not-an-integer": ([("seed", "x")], VALIDATE),
+    "left-rank-not-an-integer": ([("stability", "Z", "left_rank", "x")],
+                                 ("hn", "Z", "zero_map")),
+    "vertices-as-a-string": ([("categories", "q", dict(QUIVER, vertices="2"))],
+                             VALIDATE),
+    "rep-dims-too-short": ([("categories", "q", QUIVER),
+                            ("objects", "r", {"category": "q", "dims": [1],
+                                              "maps": [[[1]]]})], VALIDATE),
+    "name-not-a-string": ([("objects", "zero_map", "a", ["line"])], VALIDATE),
+    "declare-not-an-object": ([("functors", "left_embed", "declare",
+                                ["additive"])], VALIDATE),
+    "flag-as-a-string": ([("contexts", "arrow", "assume_abelian", "no")],
+                         VALIDATE),
+    "tensor-dim-negative": ([("functors", "t", {"kind": "tensor",
+                                                "category": "vect", "dim": -1})],
+                            VALIDATE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_exit_3_on_malformed_workspace(tmp_path, case):
+    """A workspace of the wrong shape or types is refused at load: exit 3,
+    one spec error line, no traceback."""
+    edits, command = MALFORMED[case]
+    with open(bundled("arrow")) as fh:
+        doc = json.load(fh)
+    for *path, key, value in edits:
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+    spec = tmp_path / "malformed.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli(*command, "--spec", str(spec), check_code=3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
+
+
 def test_exit_1_on_false_declaration(tmp_path):
     """A workspace that overstates a functor's exactness must fail
     validation, carrying the witnessed violation in the report."""

@@ -12,6 +12,7 @@ from commacat.core import (
     hom_dim,
     image,
     coimage,
+    inverse_of,
     random_hom,
     ses_audit,
     short_exact,
@@ -27,7 +28,9 @@ from commacat.core import (
     verify_kernel_universal,
     verify_ses,
 )
+from commacat.comma import CommaCategory
 from commacat.errors import ExactnessViolation
+from commacat.functors import identity_functor
 from commacat.counterexample import bundled_ses
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.linalg import Matrix
@@ -199,3 +202,24 @@ def test_verify_category_clean_finvect(p):
 def test_verify_category_clean_rep(seed):
     report = verify_category(REP, samples=8, seed=seed, max_dim=3)
     assert report.violations == ()
+
+
+def test_inverse_of_mono_that_is_not_epi_is_none():
+    """A mono that is not epi has many left inverses, none of them a
+    two-sided inverse: inverse_of answers None instead of raising."""
+    incl = Mor(1, 2, Matrix.from_rows([[1], [0]], 2))
+    assert inverse_of(VECT, incl) is None
+    assert verify_induced_iso(VECT, incl) == []
+    iso = Mor(2, 2, Matrix.from_rows([[1, 1], [0, 1]], 2))
+    assert VECT.compose(inverse_of(VECT, iso), iso) == VECT.identity(2)
+
+
+def test_inverse_of_comma_mono_that_is_not_epi_is_none():
+    arrow = CommaCategory(identity_functor(VECT), identity_functor(VECT))
+    line = arrow.obj(1, 1, VECT.identity(1))
+    plane = arrow.obj(2, 2, VECT.identity(2))
+    incl = Mor(1, 2, Matrix.from_rows([[1], [0]], 2))
+    mono = arrow.mor(line, plane, incl, incl)
+    assert arrow.is_mono(mono) and not arrow.is_epi(mono)
+    assert inverse_of(arrow, mono) is None
+    assert inverse_of(arrow, arrow.identity(plane)) == arrow.identity(plane)
