@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocomma import CoCommaCategory, verify_cocomma_abelian
+from .cocomma import CoCommaCategory
 from .comma import CommaCategory
 from .core import (
     all_homs,

@@ -1,5 +1,4 @@
-"""The comma construction over a pair of covariant functors with a common
-target.
+"""The comma construction over a pair of functors with a common target.
 
 An object is a triple (a, b, alpha) with alpha a morphism F(a) -> G(b) in
 the shared target; a morphism is a pair of component morphisms whose
@@ -9,13 +8,17 @@ is abelian, and kernels, cokernels, and biproducts are computed
 componentwise with the connecting structure map recovered by an exact
 linear solve.  A failed or ambiguous solve raises instead of patching the
 result: that is the mechanism by which missing exactness surfaces.
+
+The same code serves the reversed construction of cocomma.py, whose left
+components run backwards: it is this construction with the left component
+read in the opposite category, through the _Opposite view below.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Any
 
 from .core import (
@@ -28,9 +31,11 @@ from .core import (
     hom_dim,
     random_hom,
     short_exact,
+    solve_left,
     solve_right,
     solve_through_epi,
     solve_through_mono,
+    try_through_epi,
     try_through_mono,
     verify_category,
 )
@@ -51,8 +56,88 @@ class CommaObject:
 
 
 @dataclass(frozen=True)
+class _Opposite:
+    """The morphisms of the opposite of a category, kept as the category's
+    own morphisms: an arrow x -> y of the opposite is stored as the
+    morphism y -> x.  Kernels and cokernels, monos and epis, subobjects and
+    quotients, and injections and projections trade places.  The opposite
+    has the same objects and identities, which glued code reads from the
+    category itself.
+    """
+
+    cat: CategoryInstance
+
+    @property
+    def field(self) -> int:
+        return self.cat.field
+
+    def zero_morphism(self, x, y) -> Mor:
+        return self.cat.zero_morphism(y, x)
+
+    def compose(self, m2: Mor, m1: Mor) -> Mor:
+        return self.cat.compose(m1, m2)
+
+    def hom_basis(self, x, y) -> tuple:
+        return self.cat.hom_basis(y, x)
+
+    def mor_flat(self, m: Mor) -> tuple:
+        return self.cat.mor_flat(m)
+
+    def flat_len(self, x, y) -> int:
+        return self.cat.flat_len(y, x)
+
+    def mor_from_flat(self, x, y, flat: tuple) -> Mor:
+        return self.cat.mor_from_flat(y, x, flat)
+
+    def span_from_flat(self, x, y, flat: tuple) -> Mor:
+        return self.cat.span_from_flat(y, x, flat)
+
+    def factor_through_mono(self, mono: Mor, m: Mor):
+        return self.cat.factor_through_epi(mono, m)
+
+    def factor_through_epi(self, epi: Mor, m: Mor):
+        return self.cat.factor_through_mono(epi, m)
+
+    def kernel(self, m: Mor):
+        return self.cat.cokernel(m)
+
+    def cokernel(self, m: Mor):
+        return self.cat.kernel(m)
+
+    def biproduct(self, x, y):
+        s, injections, projections = self.cat.biproduct(x, y)
+        return s, projections, injections
+
+    def enumerate_subobjects(self, x) -> tuple:
+        """The quotients of x, keyed by their kernels and in their order."""
+        out = []
+        for ker in self.cat.enumerate_subobjects(x):
+            qobj, qmor = self.cat.cokernel(ker.mono)
+            out.append(Subobject(qobj, qmor, ker.key))
+        return tuple(out)
+
+    def subobject_key(self, mono: Mor):
+        return self.cat.subobject_key(self.cat.kernel(mono)[1])
+
+    def subobject_key_leq(self, inner_key, outer_key) -> bool:
+        # a smaller quotient has a larger kernel
+        return self.cat.subobject_key_leq(outer_key, inner_key)
+
+    def is_mono(self, m: Mor) -> bool:
+        return self.cat.is_epi(m)
+
+    def is_epi(self, m: Mor) -> bool:
+        return self.cat.is_mono(m)
+
+
+@dataclass(frozen=True)
 class CommaCategory(CategoryInstance):
     """Category of triples (a, b, alpha: F a -> G b) over covariant F, G.
+
+    A morphism x -> y is (f: x.a -> y.a, g: x.b -> y.b) with the structure
+    square p o F(f) = G(g) o q, where (p, q) = (y.alpha, x.alpha).  A
+    subclass with left_reversed set reads the left component in the
+    opposite category: f runs y.a -> x.a and (p, q) = (x.alpha, y.alpha).
 
     assume_abelian forces the abelian interface open even when the
     declared functor flags do not justify it; the connecting-map solves
@@ -64,31 +149,44 @@ class CommaCategory(CategoryInstance):
     budget: Budget = DEFAULT_BUDGET
     assume_abelian: bool = False
 
+    _object_class = CommaObject
+    # whether left components run backwards, y.a -> x.a for x -> y
+    left_reversed = False
+
     def __post_init__(self):
         f, g = self.left_functor, self.right_functor
-        if f.contravariant or g.contravariant:
-            raise ValueError("this construction needs covariant functors; "
-                             "the dual wrapper handles a contravariant right leg")
+        self._check_variance(f, g)
         if f.target != g.target:
             raise ValueError("functor targets disagree")
         if f.source.field != g.source.field or f.source.field != f.target.field:
             raise ValueError("all three categories must share one prime field")
 
+    def _check_variance(self, f: FunctorSpec, g: FunctorSpec) -> None:
+        if f.contravariant or g.contravariant:
+            raise ValueError("this construction needs covariant functors; "
+                             "the dual wrapper handles a contravariant right leg")
+
     # component categories
 
-    @property
+    @cached_property
     def left(self) -> CategoryInstance:
         return self.left_functor.source
 
-    @property
+    @cached_property
+    def _left_view(self):
+        """The left category as left components see it: the left category
+        itself, or its opposite when left components run backwards."""
+        return _Opposite(self.left) if self.left_reversed else self.left
+
+    @cached_property
     def right(self) -> CategoryInstance:
         return self.right_functor.source
 
-    @property
+    @cached_property
     def cone(self) -> CategoryInstance:
         return self.left_functor.target
 
-    @property
+    @cached_property
     def field(self) -> int:
         return self.left_functor.target.field
 
@@ -96,7 +194,7 @@ class CommaCategory(CategoryInstance):
     def abelian_capable(self) -> bool:
         return self.left_functor.right_exact and self.right_functor.left_exact
 
-    @property
+    @cached_property
     def additive(self) -> bool:
         """Whether both legs are additive, which makes the structure-square
         condition linear in the component morphisms."""
@@ -110,16 +208,25 @@ class CommaCategory(CategoryInstance):
 
     # construction helpers
 
+    def left_ends(self, x, y) -> tuple:
+        """(source, target) of the left component of a morphism x -> y."""
+        return (y.a, x.a) if self.left_reversed else (x.a, y.a)
+
+    def _square_ends(self, x, y) -> tuple:
+        """(p, q) with the structure square of x -> y reading
+        p.alpha o F(f) = G(g) o q.alpha."""
+        return (x, y) if self.left_reversed else (y, x)
+
     def obj(self, a, b, alpha: Mor) -> CommaObject:
         fa = apply_on_object(self.left_functor, a)
         gb = apply_on_object(self.right_functor, b)
         if alpha.source != fa or alpha.target != gb:
             raise ValueError("structure map endpoints disagree with the "
                              "functor images of the component objects")
-        return CommaObject(a, b, alpha)
+        return self._object_class(a, b, alpha)
 
     def mor(self, x: CommaObject, y: CommaObject, fa: Mor, gb: Mor) -> Mor:
-        if (fa.source, fa.target) != (x.a, y.a):
+        if (fa.source, fa.target) != self.left_ends(x, y):
             raise ValueError("left component has wrong endpoints")
         if (gb.source, gb.target) != (x.b, y.b):
             raise ValueError("right component has wrong endpoints")
@@ -129,8 +236,28 @@ class CommaCategory(CategoryInstance):
 
     def _square_commutes(self, x, y, fa: Mor, gb: Mor) -> bool:
         c = self.cone
-        return (c.compose(y.alpha, apply_on_morphism(self.left_functor, fa))
-                == c.compose(apply_on_morphism(self.right_functor, gb), x.alpha))
+        p, q = self._square_ends(x, y)
+        return (c.compose(p.alpha, apply_on_morphism(self.left_functor, fa))
+                == c.compose(apply_on_morphism(self.right_functor, gb), q.alpha))
+
+    def _structure_solver(self, x, y, ff: Mor, exact: bool = True):
+        """Solver for the structure map of whichever of x, y is None, for a
+        morphism x -> y whose left component has leg image ff.
+
+        Called with the leg image gg of the right component, it returns the
+        map making p o ff = gg o q commute: p solved through the epi ff, or
+        q through the mono gg; when exact is False it returns None where no
+        map does.  The side of the square without gg is composed once here,
+        so a loop over right components reuses it.
+        """
+        c = self.cone
+        p, q = self._square_ends(x, y)
+        if p is None:
+            through = solve_through_epi if exact else try_through_epi
+            return lambda gg: through(c, ff, c.compose(gg, q.alpha))
+        side = c.compose(p.alpha, ff)
+        through = solve_through_mono if exact else try_through_mono
+        return lambda gg: through(c, gg, side)
 
     def _factored(self, x, y, fa, gb):
         """The morphism (fa, gb) from unique component factorizations, or
@@ -140,7 +267,7 @@ class CommaCategory(CategoryInstance):
             return None
         return Mor(x, y, (fa, gb))
 
-    # objects
+    # objects; the opposite of the left category has the same ones
 
     @property
     def class_rank(self) -> int:
@@ -151,7 +278,7 @@ class CommaCategory(CategoryInstance):
         b0 = self.right.zero_object()
         fa = apply_on_object(self.left_functor, a0)
         gb = apply_on_object(self.right_functor, b0)
-        return CommaObject(a0, b0, self.cone.zero_morphism(fa, gb))
+        return self._object_class(a0, b0, self.cone.zero_morphism(fa, gb))
 
     def is_zero_object(self, x) -> bool:
         return self.left.is_zero_object(x.a) and self.right.is_zero_object(x.b)
@@ -165,15 +292,15 @@ class CommaCategory(CategoryInstance):
     def simples(self) -> tuple:
         out = []
         b0 = self.right.zero_object()
+        gb0 = apply_on_object(self.right_functor, b0)
         for s in self.left.simples():
             fa = apply_on_object(self.left_functor, s)
-            gb = apply_on_object(self.right_functor, b0)
-            out.append(CommaObject(s, b0, self.cone.zero_morphism(fa, gb)))
+            out.append(self._object_class(s, b0, self.cone.zero_morphism(fa, gb0)))
         a0 = self.left.zero_object()
         fa0 = apply_on_object(self.left_functor, a0)
         for t in self.right.simples():
             gb = apply_on_object(self.right_functor, t)
-            out.append(CommaObject(a0, t, self.cone.zero_morphism(fa0, gb)))
+            out.append(self._object_class(a0, t, self.cone.zero_morphism(fa0, gb)))
         return tuple(out)
 
     def enumerate_objects(self, max_total_dim: int):
@@ -183,7 +310,7 @@ class CommaCategory(CategoryInstance):
             for b in self.right.enumerate_objects(rest):
                 gb = apply_on_object(self.right_functor, b)
                 for alpha in all_homs(self.cone, fa, gb, self.budget.max_vectors):
-                    yield CommaObject(a, b, alpha)
+                    yield self._object_class(a, b, alpha)
 
     def sample_object(self, rng: random.Random, max_total_dim: int) -> CommaObject:
         a = self.left.sample_object(rng, max_total_dim)
@@ -191,7 +318,7 @@ class CommaCategory(CategoryInstance):
         b = self.right.sample_object(rng, rest)
         fa = apply_on_object(self.left_functor, a)
         gb = apply_on_object(self.right_functor, b)
-        return CommaObject(a, b, random_hom(self.cone, rng, fa, gb))
+        return self._object_class(a, b, random_hom(self.cone, rng, fa, gb))
 
     def describe_object(self, x) -> str:
         return (f"({self.left.describe_object(x.a)}, "
@@ -200,8 +327,9 @@ class CommaCategory(CategoryInstance):
     # morphisms
 
     def _own(self, m: Mor) -> None:
-        if not isinstance(m.source, CommaObject) or not isinstance(m.target, CommaObject):
-            raise ForeignMorphism("endpoints are not comma objects")
+        kind = self._object_class
+        if type(m.source) is not kind or type(m.target) is not kind:
+            raise ForeignMorphism(f"endpoints are not {kind.__name__}s")
         if not isinstance(m.data, tuple) or len(m.data) != 2:
             raise ForeignMorphism("carrier is not a component pair")
 
@@ -209,7 +337,7 @@ class CommaCategory(CategoryInstance):
         return Mor(x, x, (self.left.identity(x.a), self.right.identity(x.b)))
 
     def zero_morphism(self, x, y) -> Mor:
-        return Mor(x, y, (self.left.zero_morphism(x.a, y.a),
+        return Mor(x, y, (self._left_view.zero_morphism(x.a, y.a),
                           self.right.zero_morphism(x.b, y.b)))
 
     def compose(self, m2: Mor, m1: Mor) -> Mor:
@@ -218,7 +346,7 @@ class CommaCategory(CategoryInstance):
         if m1.target != m2.source:
             raise ForeignMorphism("endpoints do not match for composition")
         return Mor(m1.source, m2.target,
-                   (self.left.compose(m2.data[0], m1.data[0]),
+                   (self._left_view.compose(m2.data[0], m1.data[0]),
                     self.right.compose(m2.data[1], m1.data[1])))
 
     def hom_basis(self, x, y) -> tuple:
@@ -228,34 +356,38 @@ class CommaCategory(CategoryInstance):
         return self.left.mor_flat(m.data[0]) + self.right.mor_flat(m.data[1])
 
     def flat_len(self, x, y) -> int:
-        return self.left.flat_len(x.a, y.a) + self.right.flat_len(x.b, y.b)
+        return self._left_view.flat_len(x.a, y.a) + self.right.flat_len(x.b, y.b)
 
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
-        k = self.left.flat_len(x.a, y.a)
-        fa = self.left.mor_from_flat(x.a, y.a, tuple(flat[:k]))
+        lv = self._left_view
+        k = lv.flat_len(x.a, y.a)
+        fa = lv.mor_from_flat(x.a, y.a, tuple(flat[:k]))
         gb = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, fa, gb)
 
     def span_from_flat(self, x, y, flat: tuple) -> Mor:
         if not self.additive:
             return self.mor_from_flat(x, y, flat)
-        k = self.left.flat_len(x.a, y.a)
-        return Mor(x, y, (self.left.span_from_flat(x.a, y.a, tuple(flat[:k])),
+        lv = self._left_view
+        k = lv.flat_len(x.a, y.a)
+        return Mor(x, y, (lv.span_from_flat(x.a, y.a, tuple(flat[:k])),
                           self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
 
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved once per component.
 
-        Needs additive legs and both components of mono mono, so that each
-        component factorization is unique; one square check then decides.
-        Otherwise the hom-space solve decides.
+        Needs additive legs and both components of mono mono (in the left
+        view: epi in the left category when left components run
+        backwards), so that each component factorization is unique; one
+        square check then decides.  Otherwise the hom-space solve decides.
         """
         self._own(mono)
         self._own(m)
-        if not (self.additive and self.left.is_mono(mono.data[0])
+        lv = self._left_view
+        if not (self.additive and lv.is_mono(mono.data[0])
                 and self.right.is_mono(mono.data[1])):
             return super().factor_through_mono(mono, m)
-        fa = self.left.factor_through_mono(mono.data[0], m.data[0])
+        fa = lv.factor_through_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_mono(mono.data[1], m.data[1])
         return self._factored(m.source, mono.source, fa, gb)
@@ -265,10 +397,11 @@ class CommaCategory(CategoryInstance):
         factor_through_mono, with both components of epi epi."""
         self._own(epi)
         self._own(m)
-        if not (self.additive and self.left.is_epi(epi.data[0])
+        lv = self._left_view
+        if not (self.additive and lv.is_epi(epi.data[0])
                 and self.right.is_epi(epi.data[1])):
             return super().factor_through_epi(epi, m)
-        fa = self.left.factor_through_epi(epi.data[0], m.data[0])
+        fa = lv.factor_through_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_epi(epi.data[1], m.data[1])
         return self._factored(epi.target, m.target, fa, gb)
@@ -278,38 +411,42 @@ class CommaCategory(CategoryInstance):
     def kernel(self, m: Mor):
         self._require_abelian()
         x = m.source
-        ka_obj, ka = self.left.kernel(m.data[0])
+        ka_obj, ka = self._left_view.kernel(m.data[0])
         kb_obj, kb = self.right.kernel(m.data[1])
-        c = self.cone
-        rest = c.compose(x.alpha, apply_on_morphism(self.left_functor, ka))
-        beta = solve_through_mono(c, apply_on_morphism(self.right_functor, kb), rest)
-        kobj = CommaObject(ka_obj, kb_obj, beta)
+        solve = self._structure_solver(
+            None, x, apply_on_morphism(self.left_functor, ka))
+        beta = solve(apply_on_morphism(self.right_functor, kb))
+        kobj = self._object_class(ka_obj, kb_obj, beta)
         return kobj, self.mor(kobj, x, ka, kb)
 
     def cokernel(self, m: Mor):
         self._require_abelian()
         y = m.target
-        ca_obj, ca = self.left.cokernel(m.data[0])
+        ca_obj, ca = self._left_view.cokernel(m.data[0])
         cb_obj, cb = self.right.cokernel(m.data[1])
-        c = self.cone
-        rest = c.compose(apply_on_morphism(self.right_functor, cb), y.alpha)
-        gamma = solve_through_epi(c, apply_on_morphism(self.left_functor, ca), rest)
-        cobj = CommaObject(ca_obj, cb_obj, gamma)
+        solve = self._structure_solver(
+            y, None, apply_on_morphism(self.left_functor, ca))
+        gamma = solve(apply_on_morphism(self.right_functor, cb))
+        cobj = self._object_class(ca_obj, cb_obj, gamma)
         return cobj, self.mor(y, cobj, ca, cb)
 
     def biproduct(self, x, y):
         self._require_abelian()
-        sa, (ia1, ia2), (pa1, pa2) = self.left.biproduct(x.a, y.a)
+        sa, (ia1, ia2), (pa1, pa2) = self._left_view.biproduct(x.a, y.a)
         sb, (ib1, ib2), (pb1, pb2) = self.right.biproduct(x.b, y.b)
         c = self.cone
         fl, gl = self.left_functor, self.right_functor
-        beta = solve_right(
-            c, apply_on_object(fl, sa), apply_on_object(gl, sb),
-            [(apply_on_morphism(fl, ia1),
-              c.compose(apply_on_morphism(gl, ib1), x.alpha)),
-             (apply_on_morphism(fl, ia2),
-              c.compose(apply_on_morphism(gl, ib2), y.alpha))])
-        s = CommaObject(sa, sb, beta)
+        # the square of each injection fixes the new structure map: it is
+        # p and solved from the right, or q and solved from the left
+        equations = []
+        for z, ia, ib in ((x, ia1, ib1), (y, ia2, ib2)):
+            ff, gg = apply_on_morphism(fl, ia), apply_on_morphism(gl, ib)
+            equations.append((gg, c.compose(z.alpha, ff)) if self.left_reversed
+                             else (ff, c.compose(gg, z.alpha)))
+        solve = solve_left if self.left_reversed else solve_right
+        beta = solve(c, apply_on_object(fl, sa), apply_on_object(gl, sb),
+                     equations)
+        s = self._object_class(sa, sb, beta)
         return s, (self.mor(x, s, ia1, ib1), self.mor(y, s, ia2, ib2)), \
             (self.mor(s, x, pa1, pb1), self.mor(s, y, pa2, pb2))
 
@@ -318,30 +455,32 @@ class CommaCategory(CategoryInstance):
         return _comma_subobjects(self, x)
 
     def subobject_key(self, mono: Mor):
-        return (self.left.subobject_key(mono.data[0]),
+        return (self._left_view.subobject_key(mono.data[0]),
                 self.right.subobject_key(mono.data[1]))
 
     def subobject_key_leq(self, inner_key, outer_key) -> bool:
-        return (self.left.subobject_key_leq(inner_key[0], outer_key[0])
+        return (self._left_view.subobject_key_leq(inner_key[0], outer_key[0])
                 and self.right.subobject_key_leq(inner_key[1], outer_key[1]))
 
     @property
     def subobject_key_order_exact(self) -> bool:
-        # component factorizations u_a, u_b form a comma morphism once
-        # G(outer mono) can be cancelled from the square, i.e. G keeps
-        # monos mono
+        # component factorizations form a morphism once the image of the
+        # outer subobject can be cancelled from the square: the leg through
+        # whose image the structure map is solved keeps monos mono (the
+        # right leg) or epis epi (the left leg, when it runs backwards)
+        if self.left_reversed:
+            return self.left_functor.right_exact
         return self.right_functor.left_exact
 
     def is_mono(self, m: Mor) -> bool:
-        return self.left.is_mono(m.data[0]) and self.right.is_mono(m.data[1])
+        return self._left_view.is_mono(m.data[0]) and self.right.is_mono(m.data[1])
 
     def is_epi(self, m: Mor) -> bool:
-        return self.left.is_epi(m.data[0]) and self.right.is_epi(m.data[1])
+        return self._left_view.is_epi(m.data[0]) and self.right.is_epi(m.data[1])
 
 
-@cache
-def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tuple:
-    """Canonical basis of the comma hom space.
+def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
+    """Canonical basis of the hom space of a comma construction.
 
     Additive legs make the structure-square condition linear in hom
     coordinates, so the basis is the kernel of one constraint matrix.  A
@@ -349,18 +488,19 @@ def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tupl
     the full component product.  Anything else has no linear hom space to
     offer and is refused.
     """
-    a_cat, b_cat, c = cat.left, cat.right, cat.cone
-    fa_basis = a_cat.hom_basis(x.a, y.a)
+    lv, b_cat, c = cat._left_view, cat.right, cat.cone
+    p, q = cat._square_ends(x, y)
+    fa_basis = lv.hom_basis(x.a, y.a)
     gb_basis = b_cat.hom_basis(x.b, y.b)
     if cat.left_functor.additive and cat.right_functor.additive:
         pair_len = cat.flat_len(x, y)
         cols = []
         for phi in fa_basis:
             cols.append(c.mor_flat(
-                c.compose(y.alpha, apply_on_morphism(cat.left_functor, phi))))
+                c.compose(p.alpha, apply_on_morphism(cat.left_functor, phi))))
         for psi in gb_basis:
             cols.append(c.mor_flat(c.negate(
-                c.compose(apply_on_morphism(cat.right_functor, psi), x.alpha))))
+                c.compose(apply_on_morphism(cat.right_functor, psi), q.alpha))))
         if not cols:
             return ()
         height = len(cols[0])
@@ -371,45 +511,59 @@ def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tupl
         sol_rows = []
         for i in range(null.dim):
             coords = null.basis.row(i)
-            fa = _combine(a_cat, x.a, y.a, fa_basis, coords[:len(fa_basis)])
+            fa = _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)])
             gb = _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):])
-            sol_rows.append(a_cat.mor_flat(fa) + b_cat.mor_flat(gb))
+            sol_rows.append(lv.mor_flat(fa) + b_cat.mor_flat(gb))
         canon = Subspace.from_rows(pair_len, cat.field, sol_rows)
         return tuple(cat.mor_from_flat(x, y, canon.basis.row(i))
                      for i in range(canon.dim))
-    fxa = apply_on_object(cat.left_functor, x.a)
-    gyb = apply_on_object(cat.right_functor, y.b)
-    if hom_dim(c, fxa, gyb) == 0:
+    fqa = apply_on_object(cat.left_functor, q.a)
+    gpb = apply_on_object(cat.right_functor, p.b)
+    if hom_dim(c, fqa, gpb) == 0:
         # the square condition is vacuous; the hom space is the product
         out = []
         for phi in fa_basis:
             out.append(cat.mor(x, y, phi, b_cat.zero_morphism(x.b, y.b)))
         for psi in gb_basis:
-            out.append(cat.mor(x, y, a_cat.zero_morphism(x.a, y.a), psi))
+            out.append(cat.mor(x, y, lv.zero_morphism(x.a, y.a), psi))
         return tuple(out)
     raise CapabilityError(
         "hom spaces need additive functor legs or a trivial cone hom space")
 
 
-@cache
-def _comma_subobjects(cat: CommaCategory, x: CommaObject) -> tuple:
-    """Component subobject pairs whose restricted structure map factors
-    through the right-hand mono; the factorization is the new structure
-    map, and is unique because the mono stays mono under the right leg."""
-    c = cat.cone
+def glued_subobjects(cat: CommaCategory, x) -> tuple:
+    """Pairs (subobject of x.a in the left view, subobject of x.b) whose
+    square into x is closed by a structure map.
+
+    When left components run backwards the left view's subobjects are the
+    quotients of x.a, keyed by their kernels.  The structure map is unique
+    because the leg it is solved through keeps that mono mono or epi epi.
+    """
+    gl = cat.right_functor
+    rights = [(sub_b, apply_on_morphism(gl, sub_b.mono))
+              for sub_b in cat.right.enumerate_subobjects(x.b)]
     out = []
-    for sub_a in cat.left.enumerate_subobjects(x.a):
-        f_mono = apply_on_morphism(cat.left_functor, sub_a.mono)
-        rest = c.compose(x.alpha, f_mono)
-        for sub_b in cat.right.enumerate_subobjects(x.b):
-            g_mono = apply_on_morphism(cat.right_functor, sub_b.mono)
-            alpha_s = try_through_mono(c, g_mono, rest)
+    for sub_a in cat._left_view.enumerate_subobjects(x.a):
+        solve = cat._structure_solver(
+            None, x, apply_on_morphism(cat.left_functor, sub_a.mono), exact=False)
+        for sub_b, g_mono in rights:
+            alpha_s = solve(g_mono)
             if alpha_s is None:
                 continue
-            sobj = CommaObject(sub_a.obj, sub_b.obj, alpha_s)
+            sobj = cat._object_class(sub_a.obj, sub_b.obj, alpha_s)
             out.append(Subobject(sobj, cat.mor(sobj, x, sub_a.mono, sub_b.mono),
                                  (sub_a.key, sub_b.key)))
     return tuple(out)
+
+
+@cache
+def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tuple:
+    return glued_hom_basis(cat, x, y)
+
+
+@cache
+def _comma_subobjects(cat: CommaCategory, x: CommaObject) -> tuple:
+    return glued_subobjects(cat, x)
 
 
 def component_sequences(cat: CommaCategory, ses: ShortExactSequence):

@@ -122,16 +122,10 @@ def constant(source: CategoryInstance, target: CategoryInstance, c0) -> FunctorS
 
 
 @cache
-def _hom_from_data(src: CategoryInstance, x0, y):
-    basis = src.hom_basis(x0, y)
-    pivots = tuple(next(i for i, v in enumerate(src.mor_flat(b)) if v)
-                   for b in basis)
-    return basis, pivots
-
-
-@cache
-def _hom_into_data(src: CategoryInstance, w, x):
-    basis = src.hom_basis(x, w)
+def _hom_data(src: CategoryInstance, x, y):
+    """The basis of Hom(x, y) and the pivot coordinate of each element,
+    which reads a morphism's coordinates in that basis off its flat."""
+    basis = src.hom_basis(x, y)
     pivots = tuple(next(i for i, v in enumerate(src.mor_flat(b)) if v)
                    for b in basis)
     return basis, pivots
@@ -156,9 +150,9 @@ def apply_on_object(f: FunctorSpec, x):
     if kind == "zero":
         return f.target.zero_object()
     if kind == "hom_from":
-        return len(_hom_from_data(f.source, f.params[0], x)[0])
+        return len(_hom_data(f.source, f.params[0], x)[0])
     if kind == "hom_into":
-        return len(_hom_into_data(f.source, f.params[0], x)[0])
+        return len(_hom_data(f.source, x, f.params[0])[0])
     if kind == "eval_vertex":
         return x.dims[f.params[0]]
     if kind == "arrow_kernel":
@@ -190,8 +184,8 @@ def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
         return f.target.zero_morphism(out_source, out_target)
     if kind == "hom_from":
         x0 = f.params[0]
-        basis_s, _ = _hom_from_data(f.source, x0, m.source)
-        _, piv_t = _hom_from_data(f.source, x0, m.target)
+        basis_s, _ = _hom_data(f.source, x0, m.source)
+        _, piv_t = _hom_data(f.source, x0, m.target)
         cols = []
         for phi in basis_s:
             flat = f.source.mor_flat(f.source.compose(m, phi))
@@ -199,8 +193,8 @@ def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
         return Mor(out_source, out_target, _matrix_from_cols(cols, out_target, f.target.field))
     if kind == "hom_into":
         w = f.params[0]
-        basis_t, _ = _hom_into_data(f.source, w, m.target)
-        _, piv_s = _hom_into_data(f.source, w, m.source)
+        basis_t, _ = _hom_data(f.source, m.target, w)
+        _, piv_s = _hom_data(f.source, m.source, w)
         cols = []
         for psi in basis_t:
             flat = f.source.mor_flat(f.source.compose(psi, m))

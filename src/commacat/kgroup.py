@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cocomma import CoCommaCategory
-from .comma import CommaCategory
 from .core import CategoryInstance, ShortExactSequence, short_exact
 from .functors import apply_on_object
 
@@ -124,35 +122,28 @@ def decompose(cat, x):
     a verified short exact sequence.
 
     For the covariant construction the right component embeds and the left
-    component quotients; for the dual-leg construction the roles swap.
+    component quotients; when left components run backwards the roles swap.
     Returns (left class, right class, witness).
     """
     a_cls = cat.left.class_vector(x.a)
     b_cls = cat.right.class_vector(x.b)
-    if isinstance(cat, CommaCategory):
-        side = cat.obj(cat.left.zero_object(), x.b,
-                       _zero_structure(cat, cat.left.zero_object(), x.b))
-        rest = cat.obj(x.a, cat.right.zero_object(),
-                       _zero_structure(cat, x.a, cat.right.zero_object()))
-        sub = cat.mor(side, x,
-                      cat.left.zero_morphism(side.a, x.a),
-                      cat.right.identity(x.b))
-        quot = cat.mor(x, rest,
-                       cat.left.identity(x.a),
-                       cat.right.zero_morphism(x.b, rest.b))
-    elif isinstance(cat, CoCommaCategory):
-        side = cat.obj(x.a, cat.right.zero_object(),
-                       _zero_structure(cat, x.a, cat.right.zero_object()))
-        rest = cat.obj(cat.left.zero_object(), x.b,
-                       _zero_structure(cat, cat.left.zero_object(), x.b))
-        sub = cat.mor(side, x,
-                      cat.left.identity(x.a),
-                      cat.right.zero_morphism(side.b, x.b))
-        quot = cat.mor(x, rest,
-                       cat.left.zero_morphism(rest.a, x.a),
+    a0, b0 = cat.left.zero_object(), cat.right.zero_object()
+    a_part = cat.obj(x.a, b0, _zero_structure(cat, x.a, b0))
+    b_part = cat.obj(a0, x.b, _zero_structure(cat, a0, x.b))
+
+    def via_a(s, t):
+        return cat.mor(s, t, cat.left.identity(x.a),
+                       cat.right.zero_morphism(s.b, t.b))
+
+    def via_b(s, t):
+        # the left zero runs whichever way left components run
+        return cat.mor(s, t, cat.zero_morphism(s, t).data[0],
                        cat.right.identity(x.b))
+
+    if cat.left_reversed:
+        sub, quot = via_a(a_part, x), via_b(x, b_part)
     else:
-        raise TypeError("decompose expects a comma or dual-leg category")
+        sub, quot = via_b(b_part, x), via_a(x, a_part)
     witness = short_exact(cat, sub, quot)
     return a_cls, b_cls, witness
 

@@ -42,6 +42,8 @@ from .stability import GaussianRational, StabilityFunction
 
 SCHEMA = "commacat-workspace/1"
 
+_CONTEXT_KINDS = {"comma": CommaCategory, "cocomma": CoCommaCategory}
+
 
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
@@ -358,14 +360,11 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
             raise SpecError(f"{where}: unknown functor name")
         assume = _flag(entry.get("assume_abelian", False),
                        f"{where}.assume_abelian")
+        glued = _CONTEXT_KINDS.get(kind)
+        if glued is None:
+            raise SpecError(f"{where}: unknown context kind {kind!r}")
         try:
-            if kind == "comma":
-                ws.contexts[name] = CommaCategory(left, right, budget, assume)
-            elif kind == "cocomma":
-                ws.contexts[name] = CoCommaCategory(left, right, budget,
-                                                    assume)
-            else:
-                raise SpecError(f"{where}: unknown context kind {kind!r}")
+            ws.contexts[name] = glued(left, right, budget, assume)
         except ValueError as exc:
             raise SpecError(f"{where}: {exc}") from exc
 
@@ -397,10 +396,7 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
                                     where)
         tgt = _named_context_object(ws, ctx_name, _name(entry, "target", where),
                                     where)
-        if isinstance(ctx, CommaCategory):
-            f_src, f_tgt = src.a, tgt.a
-        else:
-            f_src, f_tgt = tgt.a, src.a
+        f_src, f_tgt = ctx.left_ends(src, tgt)
         f = _instance_component(ctx.left, f_src, f_tgt,
                                 _need(entry, "left", where), p,
                                 f"{where}.left")
@@ -470,7 +466,7 @@ def serialize_object(home, x) -> Any:
     if isinstance(home, Rep):
         return {"dims": list(x.dims),
                 "maps": [_matrix_rows(m) for m in x.maps]}
-    if isinstance(home, (CommaCategory, CoCommaCategory)):
+    if isinstance(home, CommaCategory):
         return {"a": serialize_object(home.left, x.a),
                 "b": serialize_object(home.right, x.b),
                 "alpha": serialize_morphism(home.cone, x.alpha)}
@@ -482,7 +478,7 @@ def serialize_morphism(home, m: Mor) -> Any:
         return {"matrix": _matrix_rows(m.data)}
     if isinstance(home, Rep):
         return {"vertex_maps": [_matrix_rows(v) for v in m.data]}
-    if isinstance(home, (CommaCategory, CoCommaCategory)):
+    if isinstance(home, CommaCategory):
         return {"left": serialize_morphism(home.left, m.data[0]),
                 "right": serialize_morphism(home.right, m.data[1])}
     raise TypeError("cannot serialize a morphism of this category")

@@ -267,6 +267,40 @@ def test_exit_1_with_report_on_exactness_violation(tmp_path):
     assert "no zero subobject" in doc["error"]["message"]
 
 
+def test_validate_records_a_context_whose_audit_raises(tmp_path):
+    """A context whose audit cannot run (hom spaces over a non-additive
+    leg) gets an error entry and counts as a failure; the other contexts
+    are still audited and the report is written."""
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"vect": {"kind": "finvect"}},
+        "functors": {
+            "shift": {"kind": "one_plus", "category": "vect"},
+            "carrier": {"kind": "identity", "category": "vect"},
+        },
+        "contexts": {
+            "arrow": {"kind": "comma", "left": "carrier", "right": "carrier"},
+            "broken": {"kind": "comma", "left": "shift", "right": "carrier",
+                       "assume_abelian": True},
+        },
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    proc = run_cli("validate", "--spec", str(path), "--out", str(out),
+                   check_code=1)
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    contexts = doc["results"]["contexts"]
+    assert contexts["broken"]["error"]["type"] == "CapabilityError"
+    assert "additive functor legs" in contexts["broken"]["error"]["message"]
+    assert contexts["arrow"]["checks"] > 0
+    assert contexts["arrow"]["violations"] == []
+    assert doc["results"]["failures"] >= 1
+
+
 def bundled(name):
     from commacat.cli import bundled_workspace_path
     return bundled_workspace_path(name)
