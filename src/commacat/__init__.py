@@ -8,7 +8,7 @@ series all come with executable certificates instead of trusted
 formulas.
 """
 
-from .cocomma import CoCommaCategory, CoCommaObject, verify_cocomma_abelian
+from .cocomma import CoCommaCategory, CoCommaObject
 from .comma import (
     CommaCategory,
     CommaObject,
@@ -149,7 +149,6 @@ __all__ = [
     "tensor",
     "verify_additivity",
     "verify_category",
-    "verify_cocomma_abelian",
     "verify_comma_abelian",
     "verify_factorization",
     "zero_functor",

@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .comma import (
-    CommaCategory,
-    CommaObject,
-    glued_hom_basis,
-    glued_subobjects,
-    verify_comma_abelian,
-)
+from .comma import CommaCategory, CommaObject, glued_hom_basis, glued_subobjects
 from .functors import FunctorSpec
 
 
@@ -72,7 +66,3 @@ def _cocomma_hom_basis(cat: CoCommaCategory, x: CoCommaObject,
 @cache
 def _cocomma_subobjects(cat: CoCommaCategory, x: CoCommaObject) -> tuple:
     return glued_subobjects(cat, x)
-
-
-# the audit is the comma one; the name stays public
-verify_cocomma_abelian = verify_comma_abelian

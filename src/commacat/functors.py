@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable, Optional
 
 from .core import CategoryInstance, Mor, image, random_hom, subobject_ses
 from .errors import ExactnessViolation
@@ -46,6 +47,9 @@ class FunctorSpec:
     left_exact: bool = False
     right_exact: bool = False
     contravariant: bool = False
+
+    def __post_init__(self):
+        functor_kind(self.kind)
 
 
 def identity_functor(inst: CategoryInstance) -> FunctorSpec:
@@ -118,7 +122,7 @@ def constant(source: CategoryInstance, target: CategoryInstance, c0) -> FunctorS
                        additive=triv, left_exact=triv, right_exact=triv)
 
 
-# -- application ---------------------------------------------------------
+# -- the kind table ------------------------------------------------------
 
 
 @cache
@@ -131,114 +135,140 @@ def _hom_data(src: CategoryInstance, x, y):
     return basis, pivots
 
 
+def _hom_action(f: FunctorSpec, s, t, basis_of, pivots_of, compose) -> Mor:
+    """F(m) for the hom kinds: compose each element of the basis of
+    Hom(*basis_of) and read the result at the pivots of Hom(*pivots_of)."""
+    basis, _ = _hom_data(f.source, *basis_of)
+    _, pivots = _hom_data(f.source, *pivots_of)
+    flats = [f.source.mor_flat(compose(b)) for b in basis]
+    return Mor(s, t, Matrix.build(len(pivots), len(basis), f.target.field,
+                                  (flat[i] for i in pivots for flat in flats)))
+
+
 @cache
 def _arrow_kernel_incl(x: RepObject, a: int) -> Matrix:
     return kernel_basis(x.maps[a]).basis.transpose()
 
 
 @cache
-def _arrow_cokernel_proj(x: RepObject, a: int, t_dim: int) -> Matrix:
-    proj, _ = quotient_map(t_dim, image_basis(x.maps[a]))
+def _arrow_cokernel_proj(x: RepObject, a: int, head: int) -> Matrix:
+    proj, _ = quotient_map(x.dims[head], image_basis(x.maps[a]))
     return proj
+
+
+def _arrow_cokernel_dim(f: FunctorSpec, x: RepObject) -> int:
+    a = f.params[0]
+    return _arrow_cokernel_proj(x, a, f.source.quiver.arrows[a][1]).rows
+
+
+def _arrow_kernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
+    a = f.params[0]
+    tail = f.source.quiver.arrows[a][0]
+    inc_x = _arrow_kernel_incl(m.source, a)
+    restricted = solve(_arrow_kernel_incl(m.target, a),
+                       m.data[tail].mul(inc_x))
+    if restricted is None:
+        raise ExactnessViolation(
+            f"the morphism does not carry the kernel of arrow {a} "
+            "into the kernel")
+    return Mor(s, t, restricted)
+
+
+def _arrow_cokernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
+    a = f.params[0]
+    head = f.source.quiver.arrows[a][1]
+    pr_x = _arrow_cokernel_proj(m.source, a, head)
+    induced = solve_left(pr_x, _arrow_cokernel_proj(m.target, a, head)
+                         .mul(m.data[head]))
+    if induced is None:
+        raise ExactnessViolation(
+            f"the morphism does not descend to the cokernel of arrow {a}")
+    return Mor(s, t, induced)
+
+
+@dataclass(frozen=True)
+class FunctorKind:
+    """One functor kind: F(x) = on_object(f, x); F(m) = on_morphism(f, m,
+    s, t), s and t the mapped (for a contravariant f, swapped) endpoints;
+    make(source, target, *param) is its public constructor.  param names
+    where a workspace entry supplies the parameter: None, an object of the
+    source or target category ("source_object", "target_object"), or the
+    entry's "vertex", "arrow" or "dim" field."""
+
+    on_object: Callable
+    on_morphism: Callable
+    make: Callable
+    param: Optional[str] = None
+
+
+KINDS = {
+    "identity": FunctorKind(lambda f, x: x, lambda f, m, s, t: m,
+                            lambda src, tgt: identity_functor(src)),
+    "zero": FunctorKind(lambda f, x: f.target.zero_object(),
+                        lambda f, m, s, t: f.target.zero_morphism(s, t),
+                        zero_functor),
+    "hom_from": FunctorKind(
+        lambda f, x: len(_hom_data(f.source, f.params[0], x)[0]),
+        lambda f, m, s, t: _hom_action(
+            f, s, t, (f.params[0], m.source), (f.params[0], m.target),
+            lambda phi: f.source.compose(m, phi)),
+        lambda src, tgt, x0: hom_from(src, x0, tgt), "source_object"),
+    "hom_into": FunctorKind(
+        lambda f, x: len(_hom_data(f.source, x, f.params[0])[0]),
+        lambda f, m, s, t: _hom_action(
+            f, s, t, (m.target, f.params[0]), (m.source, f.params[0]),
+            lambda psi: f.source.compose(psi, m)),
+        lambda src, tgt, w: hom_into(src, w, tgt), "source_object"),
+    "eval_vertex": FunctorKind(
+        lambda f, x: x.dims[f.params[0]],
+        lambda f, m, s, t: Mor(s, t, m.data[f.params[0]]),
+        lambda src, tgt, v: eval_vertex(src, v, tgt), "vertex"),
+    "arrow_kernel": FunctorKind(
+        lambda f, x: _arrow_kernel_incl(x, f.params[0]).cols,
+        _arrow_kernel_map,
+        lambda src, tgt, a: arrow_kernel(src, a, tgt), "arrow"),
+    "arrow_cokernel": FunctorKind(
+        _arrow_cokernel_dim, _arrow_cokernel_map,
+        lambda src, tgt, a: arrow_cokernel(src, a, tgt), "arrow"),
+    "tensor": FunctorKind(
+        lambda f, x: f.params[0] * x,
+        lambda f, m, s, t: Mor(s, t, kron(
+            Matrix.identity(f.params[0], f.target.field), m.data)),
+        lambda src, tgt, w: tensor(src, w), "dim"),
+    "one_plus": FunctorKind(
+        lambda f, x: 1 + x,
+        lambda f, m, s, t: Mor(s, t, block_diag(
+            [Matrix.identity(1, f.target.field), m.data])),
+        lambda src, tgt: one_plus(src)),
+    "constant": FunctorKind(
+        lambda f, x: f.params[0],
+        lambda f, m, s, t: f.target.identity(f.params[0]),
+        constant, "target_object"),
+}
+
+
+def functor_kind(kind) -> FunctorKind:
+    """The table entry of a kind name; ValueError for any other value."""
+    try:
+        return KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown functor kind {kind!r}") from None
+
+
+# -- application ---------------------------------------------------------
 
 
 @cache
 def apply_on_object(f: FunctorSpec, x):
-    kind = f.kind
-    if kind == "identity":
-        return x
-    if kind == "zero":
-        return f.target.zero_object()
-    if kind == "hom_from":
-        return len(_hom_data(f.source, f.params[0], x)[0])
-    if kind == "hom_into":
-        return len(_hom_data(f.source, x, f.params[0])[0])
-    if kind == "eval_vertex":
-        return x.dims[f.params[0]]
-    if kind == "arrow_kernel":
-        return _arrow_kernel_incl(x, f.params[0]).cols
-    if kind == "arrow_cokernel":
-        a = f.params[0]
-        t = f.source.quiver.arrows[a][1]
-        return _arrow_cokernel_proj(x, a, x.dims[t]).rows
-    if kind == "tensor":
-        return f.params[0] * x
-    if kind == "one_plus":
-        return 1 + x
-    if kind == "constant":
-        return f.params[0]
-    raise ValueError(f"unknown functor kind {kind!r}")
+    return KINDS[f.kind].on_object(f, x)
 
 
 def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
-    src_obj = apply_on_object(f, m.source)
-    tgt_obj = apply_on_object(f, m.target)
+    s = apply_on_object(f, m.source)
+    t = apply_on_object(f, m.target)
     if f.contravariant:
-        out_source, out_target = tgt_obj, src_obj
-    else:
-        out_source, out_target = src_obj, tgt_obj
-    kind = f.kind
-    if kind == "identity":
-        return m
-    if kind == "zero":
-        return f.target.zero_morphism(out_source, out_target)
-    if kind == "hom_from":
-        x0 = f.params[0]
-        basis_s, _ = _hom_data(f.source, x0, m.source)
-        _, piv_t = _hom_data(f.source, x0, m.target)
-        cols = []
-        for phi in basis_s:
-            flat = f.source.mor_flat(f.source.compose(m, phi))
-            cols.append([flat[p] for p in piv_t])
-        return Mor(out_source, out_target, _matrix_from_cols(cols, out_target, f.target.field))
-    if kind == "hom_into":
-        w = f.params[0]
-        basis_t, _ = _hom_data(f.source, m.target, w)
-        _, piv_s = _hom_data(f.source, m.source, w)
-        cols = []
-        for psi in basis_t:
-            flat = f.source.mor_flat(f.source.compose(psi, m))
-            cols.append([flat[p] for p in piv_s])
-        return Mor(out_source, out_target, _matrix_from_cols(cols, out_target, f.target.field))
-    if kind == "eval_vertex":
-        return Mor(out_source, out_target, m.data[f.params[0]])
-    if kind == "arrow_kernel":
-        a = f.params[0]
-        s = f.source.quiver.arrows[a][0]
-        inc_x = _arrow_kernel_incl(m.source, a)
-        inc_y = _arrow_kernel_incl(m.target, a)
-        restricted = solve(inc_y, m.data[s].mul(inc_x))
-        if restricted is None:
-            raise ExactnessViolation(
-                f"the morphism does not carry the kernel of arrow {a} "
-                "into the kernel")
-        return Mor(out_source, out_target, restricted)
-    if kind == "arrow_cokernel":
-        a = f.params[0]
-        t = f.source.quiver.arrows[a][1]
-        pr_x = _arrow_cokernel_proj(m.source, a, m.source.dims[t])
-        pr_y = _arrow_cokernel_proj(m.target, a, m.target.dims[t])
-        induced = solve_left(pr_x, pr_y.mul(m.data[t]))
-        if induced is None:
-            raise ExactnessViolation(
-                f"the morphism does not descend to the cokernel of arrow {a}")
-        return Mor(out_source, out_target, induced)
-    if kind == "tensor":
-        w = f.params[0]
-        return Mor(out_source, out_target,
-                   kron(Matrix.identity(w, f.target.field), m.data))
-    if kind == "one_plus":
-        return Mor(out_source, out_target,
-                   block_diag([Matrix.identity(1, f.target.field), m.data]))
-    if kind == "constant":
-        return f.target.identity(f.params[0])
-    raise ValueError(f"unknown functor kind {kind!r}")
-
-
-def _matrix_from_cols(cols, nrows: int, p: int) -> Matrix:
-    ncols = len(cols)
-    return Matrix.build(nrows, ncols, p,
-                        (cols[j][i] for i in range(nrows) for j in range(ncols)))
+        s, t = t, s
+    return KINDS[f.kind].on_morphism(f, m, s, t)
 
 
 # -- empirical flag checking ---------------------------------------------

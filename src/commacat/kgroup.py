@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import CategoryInstance, ShortExactSequence, short_exact
+from .errors import ExactnessViolation
 from .functors import apply_on_object
 
 
@@ -123,7 +124,8 @@ def decompose(cat, x):
 
     For the covariant construction the right component embeds and the left
     component quotients; when left components run backwards the roles swap.
-    Returns (left class, right class, witness).
+    Returns (left class, right class, witness).  Over a non-additive leg
+    the zero maps need not form squares, and then ExactnessViolation.
     """
     a_cls = cat.left.class_vector(x.a)
     b_cls = cat.right.class_vector(x.b)
@@ -140,10 +142,14 @@ def decompose(cat, x):
         return cat.mor(s, t, cat.zero_morphism(s, t).data[0],
                        cat.right.identity(x.b))
 
-    if cat.left_reversed:
-        sub, quot = via_a(a_part, x), via_b(x, b_part)
-    else:
-        sub, quot = via_b(b_part, x), via_a(x, a_part)
+    try:
+        if cat.left_reversed:
+            sub, quot = via_a(a_part, x), via_b(x, b_part)
+        else:
+            sub, quot = via_b(b_part, x), via_a(x, a_part)
+    except ValueError as exc:
+        raise ExactnessViolation(f"{cat.describe_object(x)} has no splitting "
+                                 f"sequence: {exc}") from exc
     witness = short_exact(cat, sub, quot)
     return a_cls, b_cls, witness
 

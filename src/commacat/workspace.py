@@ -22,27 +22,12 @@ from .cocomma import CoCommaCategory
 from .comma import CommaCategory
 from .core import Mor
 from .errors import SpecError
-from .functors import (
-    FunctorSpec,
-    arrow_cokernel,
-    arrow_kernel,
-    constant,
-    eval_vertex,
-    hom_from,
-    hom_into,
-    identity_functor,
-    one_plus,
-    tensor,
-    zero_functor,
-)
-from .functors import apply_on_object
+from .functors import FunctorSpec, apply_on_object, functor_kind
 from .instances import Budget, FinVect, Quiver, Rep, ToyGeometryConfig
-from .linalg import Matrix
+from .linalg import BudgetExceeded, Matrix
 from .stability import GaussianRational, StabilityFunction
 
 SCHEMA = "commacat-workspace/1"
-
-_CONTEXT_KINDS = {"comma": CommaCategory, "cocomma": CoCommaCategory}
 
 
 def parse_rational(value) -> Fraction:
@@ -86,12 +71,24 @@ class Workspace:
     scans: dict = field(default_factory=dict)
 
     def home_of(self, obj_name: str):
-        """(home name, home category/context, object) for a named object."""
+        """(home name, home category/context, object) for a named object,
+        which must fit the budget's max_total_dim."""
         if obj_name not in self.objects:
             raise SpecError(f"unknown object {obj_name!r}")
         home_name, obj = self.objects[obj_name]
         home = self.categories.get(home_name) or self.contexts.get(home_name)
+        dim, bound = home.dim_total(obj), self.budget.max_total_dim
+        if dim > bound:
+            raise BudgetExceeded(f"object {obj_name!r} has total dimension "
+                                 f"{dim}, above max_total_dim {bound}")
         return home_name, home, obj
+
+
+def _kind(table: dict, kind, where: str, what: str):
+    """The entry of a kind table that a workspace "kind" field names."""
+    if isinstance(kind, str) and kind in table:
+        return table[kind]
+    raise SpecError(f"{where}: unknown {what} {kind!r}")
 
 
 def _need(table: dict, key: str, where: str):
@@ -196,39 +193,18 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
         if tgt is None:
             raise SpecError(f"{where}: unknown target category")
 
-    def named_object(key, home):
-        oname = _name(entry, key, where)
-        if oname not in ws.objects:
-            raise SpecError(f"{where}: unknown object {oname!r}")
-        home_name, obj = ws.objects[oname]
-        if ws.categories.get(home_name) is not home:
-            raise SpecError(f"{where}: object {oname!r} lives in the wrong "
-                            "category for this functor parameter")
-        return obj
-
     try:
-        if kind == "identity":
-            spec = identity_functor(src)
-        elif kind == "zero":
-            spec = zero_functor(src, tgt)
-        elif kind == "hom_from":
-            spec = hom_from(src, named_object("object", src), tgt)
-        elif kind == "hom_into":
-            spec = hom_into(src, named_object("object", src), tgt)
-        elif kind == "eval_vertex":
-            spec = eval_vertex(src, _need(entry, "vertex", where), tgt)
-        elif kind == "arrow_kernel":
-            spec = arrow_kernel(src, _need(entry, "arrow", where), tgt)
-        elif kind == "arrow_cokernel":
-            spec = arrow_cokernel(src, _need(entry, "arrow", where), tgt)
-        elif kind == "tensor":
-            spec = tensor(src, _count(_need(entry, "dim", where), f"{where}.dim"))
-        elif kind == "one_plus":
-            spec = one_plus(src)
-        elif kind == "constant":
-            spec = constant(src, tgt, named_object("object", tgt))
-        else:
-            raise SpecError(f"{where}: unknown functor kind {kind!r}")
+        record = functor_kind(kind)
+        how = record.param
+        if how in ("source_object", "target_object"):
+            home = src if how == "source_object" else tgt
+            param = (_category_object(ws, home, _name(entry, "object", where),
+                                      where),)
+        elif how == "dim":
+            param = (_count(_need(entry, "dim", where), f"{where}.dim"),)
+        else:  # none, or a vertex or arrow index the constructor checks
+            param = () if how is None else (_need(entry, how, where),)
+        spec = record.make(src, tgt, *param)
     except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     declare = entry.get("declare", {})
@@ -279,6 +255,18 @@ def _build_geometry(name: str, entry: dict) -> ToyGeometryConfig:
         raise SpecError(f"{where}: {exc}") from exc
 
 
+_CATEGORY_KINDS = {
+    "finvect": lambda entry, p, budget, where: FinVect(p, budget),
+    "quiver": lambda entry, p, budget, where: Rep(Quiver(
+        _count(_need(entry, "vertices", where), f"{where}.vertices"),
+        tuple(tuple(a) for a in _need(entry, "arrows", where))), p, budget),
+}
+_CONTEXT_KINDS = {"comma": CommaCategory, "cocomma": CoCommaCategory}
+# stability kind -> (the Workspace table it fills, its builder)
+_STABILITY_KINDS = {"table": ("stability", _build_stability),
+                    "geometry": ("geometries", _build_geometry)}
+
+
 def load_workspace(path: str, budget_override: Optional[int] = None,
                    seed_override: Optional[int] = None) -> Workspace:
     try:
@@ -320,18 +308,10 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
 
     for name, entry in _section(doc, "categories").items():
         where = f"categories.{name}"
-        kind = _need(entry, "kind", where)
+        make = _kind(_CATEGORY_KINDS, _need(entry, "kind", where), where,
+                     "category kind")
         try:
-            if kind == "finvect":
-                ws.categories[name] = FinVect(p, budget)
-            elif kind == "quiver":
-                q = Quiver(_count(_need(entry, "vertices", where),
-                                  f"{where}.vertices"),
-                           tuple(tuple(a) for a in
-                                 _need(entry, "arrows", where)))
-                ws.categories[name] = Rep(q, p, budget)
-            else:
-                raise SpecError(f"{where}: unknown category kind {kind!r}")
+            ws.categories[name] = make(entry, p, budget, where)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"{where}: {exc}") from exc
 
@@ -353,16 +333,14 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
 
     for name, entry in _section(doc, "contexts").items():
         where = f"contexts.{name}"
-        kind = _need(entry, "kind", where)
+        glued = _kind(_CONTEXT_KINDS, _need(entry, "kind", where), where,
+                      "context kind")
         left = ws.functors.get(_name(entry, "left", where))
         right = ws.functors.get(_name(entry, "right", where))
         if left is None or right is None:
             raise SpecError(f"{where}: unknown functor name")
         assume = _flag(entry.get("assume_abelian", False),
                        f"{where}.assume_abelian")
-        glued = _CONTEXT_KINDS.get(kind)
-        if glued is None:
-            raise SpecError(f"{where}: unknown context kind {kind!r}")
         try:
             ws.contexts[name] = glued(left, right, budget, assume)
         except ValueError as exc:
@@ -374,8 +352,8 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
         ctx = ws.contexts.get(ctx_name)
         if ctx is None:
             raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        a = _resolve_component(ws, ctx.left, _name(entry, "a", where), where)
-        b = _resolve_component(ws, ctx.right, _name(entry, "b", where), where)
+        a = _category_object(ws, ctx.left, _name(entry, "a", where), where)
+        b = _category_object(ws, ctx.right, _name(entry, "b", where), where)
         fa = apply_on_object(ctx.left_functor, a)
         gb = apply_on_object(ctx.right_functor, b)
         alpha = _instance_component(ctx.cone, fa, gb,
@@ -409,13 +387,9 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
             raise SpecError(f"{where}: {exc}") from exc
 
     for name, entry in _section(doc, "stability").items():
-        kind = entry.get("kind", "table")
-        if kind == "table":
-            ws.stability[name] = _build_stability(name, entry)
-        elif kind == "geometry":
-            ws.geometries[name] = _build_geometry(name, entry)
-        else:
-            raise SpecError(f"stability.{name}: unknown kind {kind!r}")
+        slot, build = _kind(_STABILITY_KINDS, entry.get("kind", "table"),
+                            f"stability.{name}", "kind")
+        getattr(ws, slot)[name] = build(name, entry)
 
     for name, entry in _section(doc, "scans").items():
         where = f"scans.{name}"
@@ -437,13 +411,14 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
     return ws
 
 
-def _resolve_component(ws: Workspace, cat, name: str, where: str):
+def _category_object(ws: Workspace, cat, name: str, where: str):
+    """A named object of the instance category cat."""
     if name not in ws.objects:
         raise SpecError(f"{where}: unknown object {name!r}")
     home_name, obj = ws.objects[name]
     if ws.categories.get(home_name) is not cat:
         raise SpecError(f"{where}: object {name!r} lives in {home_name!r}, "
-                        "not in the context's component category")
+                        "not in the category this entry needs")
     return obj
 
 

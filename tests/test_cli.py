@@ -155,6 +155,32 @@ def test_exit_3_on_negative_budget():
     run_cli("validate", "--budget", "-1", check_code=3)
 
 
+# each object-taking subcommand on a bundled object of total dimension 2
+# or more, and the workspace it lives in
+OBJECT_COMMANDS = {
+    "subobjects": (("subobjects", "arrow", "identity_map"), "arrow"),
+    "kclass": (("kclass", "plane_collapse"), "arrow"),
+    "hn": (("hn", "Z", "zero_map"), "arrow"),
+    "jh": (("jh", "identity_map"), "arrow"),
+    "scan-alpha": (("scan-alpha", "system", "toy_curve", "1/2:4"),
+                   "coherent_systems"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OBJECT_COMMANDS))
+def test_exit_2_on_object_above_max_total_dim(tmp_path, command):
+    """budget.max_total_dim bounds every object a subcommand takes."""
+    args, workspace = OBJECT_COMMANDS[command]
+    with open(bundled(workspace)) as fh:
+        doc = json.load(fh)
+    doc["budget"]["max_total_dim"] = 1
+    spec = tmp_path / "small.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli(*args, "--spec", str(spec), check_code=2)
+    assert proc.stderr.startswith("budget exhausted:"), proc.stderr
+    assert "max_total_dim 1" in proc.stderr
+
+
 QUIVER = {"kind": "quiver", "vertices": 2, "arrows": [[0, 1]]}
 VALIDATE = ("validate",)
 # each case: edits to the bundled arrow workspace, as (path..., value),
@@ -181,6 +207,8 @@ MALFORMED = {
                          VALIDATE),
     "tensor-dim-negative": ([("functors", "t", {"kind": "tensor",
                                                 "category": "vect", "dim": -1})],
+                            VALIDATE),
+    "context-kind-a-list": ([("contexts", "arrow", "kind", ["comma"])],
                             VALIDATE),
 }
 
@@ -229,31 +257,33 @@ def test_exit_1_on_false_declaration(tmp_path):
     assert doc["results"]["functors"]["crush"]["flag_mismatches"]
 
 
+# comma(one_plus, identity) with assume_abelian, and x = (k^0, k^1, [[1]])
+ONE_PLUS_WORKSPACE = {
+    "schema": "commacat-workspace/1",
+    "field_modulus": 2,
+    "categories": {"vect": {"kind": "finvect"}},
+    "functors": {
+        "shift": {"kind": "one_plus", "category": "vect"},
+        "carrier": {"kind": "identity", "category": "vect"},
+    },
+    "contexts": {
+        "broken": {"kind": "comma", "left": "shift", "right": "carrier",
+                   "assume_abelian": True},
+    },
+    "objects": {
+        "zero": {"category": "vect", "dim": 0},
+        "line": {"category": "vect", "dim": 1},
+        "x": {"context": "broken", "a": "zero", "b": "line", "alpha": [[1]]},
+    },
+}
+
+
 def test_exit_1_with_report_on_exactness_violation(tmp_path):
     """A construction the data refuses (here: an assume_abelian context
     whose object has no zero subobject) exits 1 with one stderr line and
     still writes its report, carrying the error."""
-    spec = {
-        "schema": "commacat-workspace/1",
-        "field_modulus": 2,
-        "categories": {"vect": {"kind": "finvect"}},
-        "functors": {
-            "shift": {"kind": "one_plus", "category": "vect"},
-            "carrier": {"kind": "identity", "category": "vect"},
-        },
-        "contexts": {
-            "broken": {"kind": "comma", "left": "shift", "right": "carrier",
-                       "assume_abelian": True},
-        },
-        "objects": {
-            "zero": {"category": "vect", "dim": 0},
-            "line": {"category": "vect", "dim": 1},
-            "x": {"context": "broken", "a": "zero", "b": "line",
-                  "alpha": [[1]]},
-        },
-    }
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(ONE_PLUS_WORKSPACE))
     out = tmp_path / "r.json"
     proc = run_cli("jh", "x", "--spec", str(path), "--out", str(out),
                    check_code=1)
@@ -265,6 +295,23 @@ def test_exit_1_with_report_on_exactness_violation(tmp_path):
     assert doc["exit_code"] == 1
     assert doc["error"]["type"] == "ExactnessViolation"
     assert "no zero subobject" in doc["error"]["message"]
+
+
+def test_kclass_reports_a_triple_that_does_not_split(tmp_path):
+    """Over a non-additive leg the zero maps of the splitting sequence need
+    not exist; kclass then exits 1 with one stderr line and a report
+    carrying the error, not a traceback."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(ONE_PLUS_WORKSPACE))
+    out = tmp_path / "r.json"
+    proc = run_cli("kclass", "x", "--spec", str(path), "--out", str(out),
+                   check_code=1)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("construction failed:"), proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    assert doc["error"]["type"] == "ExactnessViolation"
+    assert "no splitting sequence" in doc["error"]["message"]
 
 
 def test_validate_records_a_context_whose_audit_raises(tmp_path):

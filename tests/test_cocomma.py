@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commacat.cocomma import CoCommaCategory, verify_cocomma_abelian
+from commacat.cocomma import CoCommaCategory
+from commacat.comma import verify_comma_abelian
 from commacat.core import (
     Mor,
     all_homs,
@@ -181,5 +182,5 @@ def test_biproduct():
 
 
 def test_verify_cocomma_abelian_clean():
-    report = verify_cocomma_abelian(CAT, samples=8)
+    report = verify_comma_abelian(CAT, samples=8)
     assert report.violations == ()

@@ -11,6 +11,20 @@ import pytest
 from commacat.cli import bundled_workspace_path, default_workspace_path
 from commacat.comma import CommaCategory
 from commacat.errors import SpecError
+from commacat.functors import (
+    KINDS,
+    FunctorSpec,
+    arrow_cokernel,
+    arrow_kernel,
+    constant,
+    eval_vertex,
+    hom_from,
+    hom_into,
+    identity_functor,
+    one_plus,
+    tensor,
+    zero_functor,
+)
 from commacat.instances import FinVect, Rep
 from commacat.workspace import (
     SCHEMA,
@@ -150,6 +164,59 @@ def test_unknown_functor_kind(tmp_path):
     with pytest.raises(SpecError) as err:
         load_mutated(tmp_path, mutate)
     assert "weird" in str(err.value)
+
+
+def test_functor_spec_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown functor kind"):
+        FunctorSpec("limits", FinVect(2), FinVect(2))
+
+
+# kind -> (workspace entry, the same functor from the public constructor,
+# given the categories and the instance-level objects by name)
+FUNCTOR_CASES = {
+    "identity": ({"category": "vect"},
+                 lambda c, o: identity_functor(c["vect"])),
+    "zero": ({"category": "mods", "target": "vect"},
+             lambda c, o: zero_functor(c["mods"], c["vect"])),
+    "hom_from": ({"category": "mods", "target": "vect", "object": "edge"},
+                 lambda c, o: hom_from(c["mods"], o["edge"], c["vect"])),
+    "hom_into": ({"category": "mods", "target": "vect", "object": "edge"},
+                 lambda c, o: hom_into(c["mods"], o["edge"], c["vect"])),
+    "eval_vertex": ({"category": "mods", "target": "vect", "vertex": 1},
+                    lambda c, o: eval_vertex(c["mods"], 1, c["vect"])),
+    "arrow_kernel": ({"category": "mods", "target": "vect", "arrow": 0},
+                     lambda c, o: arrow_kernel(c["mods"], 0, c["vect"])),
+    "arrow_cokernel": ({"category": "mods", "target": "vect", "arrow": 0},
+                       lambda c, o: arrow_cokernel(c["mods"], 0, c["vect"])),
+    "tensor": ({"category": "vect", "dim": 3},
+               lambda c, o: tensor(c["vect"], 3)),
+    "one_plus": ({"category": "vect"}, lambda c, o: one_plus(c["vect"])),
+    "constant": ({"category": "mods", "target": "vect", "object": "plane"},
+                 lambda c, o: constant(c["mods"], c["vect"], o["plane"])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_functor_kind_loads_as_its_constructor(tmp_path, kind):
+    """A workspace entry of each kind in the table builds the FunctorSpec
+    its public constructor builds, parameter and flags included."""
+    entry, expected = FUNCTOR_CASES[kind]
+    doc = {
+        "schema": SCHEMA,
+        "field_modulus": 3,
+        "categories": {"vect": {"kind": "finvect"},
+                       "mods": {"kind": "quiver", "vertices": 2,
+                                "arrows": [[0, 1]]}},
+        "objects": {"plane": {"category": "vect", "dim": 2},
+                    "edge": {"category": "mods", "dims": [1, 2],
+                             "maps": [[[1], [2]]]}},
+        "functors": {"f": dict(entry, kind=kind)},
+    }
+    out = tmp_path / "ws.json"
+    out.write_text(json.dumps(doc))
+    ws = load_workspace(str(out))
+    objects = {name: obj for name, (_, obj) in ws.objects.items()}
+    assert ws.functors["f"] == expected(ws.categories, objects)
 
 
 def test_declare_rejects_unknown_flags(tmp_path):
