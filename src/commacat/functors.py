@@ -62,8 +62,17 @@ def zero_functor(source: CategoryInstance, target: CategoryInstance) -> FunctorS
                        additive=True, left_exact=True, right_exact=True)
 
 
+def _require(inst: CategoryInstance, kind: str, side: str, cls: type) -> None:
+    """Refuse a source or target category that the kind's maps cannot
+    live in, before any of them is read."""
+    if not isinstance(inst, cls):
+        what = "quiver" if cls is Rep else "finvect"
+        raise ValueError(f"{kind} needs a {what} category as its {side}")
+
+
 def hom_from(source: CategoryInstance, x0, target: FinVect) -> FunctorSpec:
     """Hom(x0, -) into vector spaces; left exact always."""
+    _require(target, "hom_from", "target", FinVect)
     return FunctorSpec("hom_from", source, target, params=(x0,),
                        additive=True, left_exact=True, right_exact=False)
 
@@ -74,6 +83,7 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
     On vector spaces this is exact in both output senses; on quiver
     representations only the left-exact side is declared.
     """
+    _require(target, "hom_into", "target", FinVect)
     exact_source = isinstance(source, FinVect)
     return FunctorSpec("hom_into", source, target, params=(w,),
                        additive=True, left_exact=True,
@@ -81,6 +91,8 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
 
 
 def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
+    _require(source, "eval_vertex", "source", Rep)
+    _require(target, "eval_vertex", "target", FinVect)
     if not 0 <= v < source.quiver.vertices:
         raise ValueError("vertex out of range")
     return FunctorSpec("eval_vertex", source, target, params=(v,),
@@ -88,6 +100,8 @@ def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
 
 
 def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
+    _require(source, "arrow_kernel", "source", Rep)
+    _require(target, "arrow_kernel", "target", FinVect)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
     return FunctorSpec("arrow_kernel", source, target, params=(a,),
@@ -95,6 +109,8 @@ def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
 
 
 def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
+    _require(source, "arrow_cokernel", "source", Rep)
+    _require(target, "arrow_cokernel", "target", FinVect)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
     return FunctorSpec("arrow_cokernel", source, target, params=(a,),
@@ -102,6 +118,7 @@ def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
 
 
 def tensor(inst: FinVect, w: int) -> FunctorSpec:
+    _require(inst, "tensor", "source", FinVect)
     return FunctorSpec("tensor", inst, inst, params=(w,),
                        additive=True, left_exact=True, right_exact=True)
 
@@ -112,6 +129,7 @@ def one_plus(inst: FinVect) -> FunctorSpec:
     Non-additive (it sends the zero map to a rank-one map) and exact in
     neither direction, which is the point of keeping it around.
     """
+    _require(inst, "one_plus", "source", FinVect)
     return FunctorSpec("one_plus", inst, inst,
                        additive=False, left_exact=False, right_exact=False)
 

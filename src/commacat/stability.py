@@ -15,6 +15,8 @@ recomputing filtrations on either side.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -104,6 +106,14 @@ class StabilityFunction:
             if c.im == 0 and c.re >= 0:
                 raise ValueError(
                     "purely real coefficient must be strictly negative")
+        # the coefficients times their common denominator d > 0: Z(v) * d
+        # has these integer dot products with v as its parts, and scaling
+        # by d leaves -Re/Im unchanged
+        d = math.lcm(*(q.denominator for c in self.coefficients
+                       for q in (c.re, c.im)))
+        object.__setattr__(self, "_integer_form", (
+            tuple(int(c.re * d) for c in self.coefficients),
+            tuple(int(c.im * d) for c in self.coefficients)))
 
     @property
     def rank(self) -> int:
@@ -121,12 +131,18 @@ def evaluate(z: StabilityFunction, vec) -> GaussianRational:
 
 
 def slope(z: StabilityFunction, vec) -> Slope:
-    val = evaluate(z, vec)
-    if val.is_zero():
-        raise ValueError("the zero class has no slope")
-    if val.im == 0:
+    """-Re Z(vec) / Im Z(vec), from the integer form of z; equal to the
+    slope of evaluate(z, vec), which stays as the reference."""
+    re_form, im_form = z._integer_form
+    if len(vec) != len(re_form):
+        raise ValueError("class vector length does not match the function")
+    re = sum(map(operator.mul, re_form, vec))
+    im = sum(map(operator.mul, im_form, vec))
+    if im == 0:
+        if re == 0:
+            raise ValueError("the zero class has no slope")
         return Slope.infinite()
-    return Slope.of(-val.re / val.im)
+    return Slope(True, Fraction(-re, im))
 
 
 def make_comma_stability(z_a: StabilityFunction, z_b: StabilityFunction,
@@ -197,8 +213,16 @@ class SubobjectLattice:
         return self._leq[(i, j)]
 
     def strictly_above(self, i: int) -> list:
-        return [j for j in range(len(self.subs))
-                if j != i and self.leq(i, j)]
+        """Every j with subs[i] strictly inside subs[j], in index order.
+
+        Only j whose class dominates classes[i] componentwise and differs
+        from it are asked: a strict inclusion has a nonzero cokernel, whose
+        class, the difference, is a nonzero dimension vector.
+        """
+        below = self.classes[i]
+        return [j for j, c in enumerate(self.classes)
+                if c != below and all(p >= q for p, q in zip(c, below))
+                and self.leq(i, j)]
 
     def diff(self, j: int, i: int) -> tuple:
         return tuple(p - q for p, q in zip(self.classes[j], self.classes[i]))

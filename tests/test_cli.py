@@ -210,6 +210,24 @@ MALFORMED = {
                             VALIDATE),
     "context-kind-a-list": ([("contexts", "arrow", "kind", ["comma"])],
                             VALIDATE),
+    # a functor whose values cannot live in its source or target category
+    "eval-vertex-without-target": (
+        [("categories", "q", QUIVER),
+         ("functors", "h", {"kind": "eval_vertex", "category": "q",
+                            "vertex": 0})], VALIDATE),
+    "hom-from-without-target": (
+        [("categories", "q", QUIVER),
+         ("objects", "r", {"category": "q", "dims": [1, 1],
+                           "maps": [[[1]]]}),
+         ("functors", "h", {"kind": "hom_from", "category": "q",
+                            "object": "r"})], VALIDATE),
+    "eval-vertex-on-finvect": ([("functors", "h", {"kind": "eval_vertex",
+                                                   "category": "vect",
+                                                   "vertex": 0})], VALIDATE),
+    "tensor-on-a-quiver": (
+        [("categories", "q", QUIVER),
+         ("functors", "t", {"kind": "tensor", "category": "q", "dim": 2})],
+        VALIDATE),
 }
 
 

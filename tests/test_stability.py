@@ -84,6 +84,60 @@ def test_slope_values():
         slope(Z, (0, 0))
 
 
+def _fraction_slope(z, vec):
+    """The slope through evaluate, in Fractions: the reference."""
+    val = evaluate(z, vec)
+    if val.is_zero():
+        raise ValueError("the zero class has no slope")
+    if val.im == 0:
+        return Slope.infinite()
+    return Slope.of(-val.re / val.im)
+
+
+def _random_function(rng, rank):
+    """Rational coefficients; real_share of them purely real and negative,
+    the rest with positive imaginary part."""
+    real_share = rng.choice((0.0, 0.5, 1.0))
+    coeffs = []
+    for _ in range(rank):
+        im = 0 if rng.random() < real_share else \
+            Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        re = Fraction(rng.randint(-9, 9) if im else rng.randint(-9, -1),
+                      rng.randint(1, 6))
+        coeffs.append(GaussianRational(re, im))
+    return StabilityFunction(tuple(coeffs))
+
+
+@settings(deadline=None, max_examples=80)
+@given(seeds)
+def test_integer_slope_matches_the_fraction_slope(seed):
+    rng = random.Random(seed)
+    z = _random_function(rng, rng.randint(1, 4))
+    if rng.random() < 0.5:
+        z = make_comma_stability(
+            z, _random_function(rng, rng.randint(1, 3)),
+            Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+            Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+    vecs = [(0,) * z.rank] + [tuple(rng.randint(-3, 3) for _ in range(z.rank))
+                             for _ in range(16)]
+    for v in vecs:
+        try:
+            want = _fraction_slope(z, v)
+        except ValueError:
+            with pytest.raises(ValueError):
+                slope(z, v)
+            continue
+        # equal Slopes, so the integer slopes order classes as the
+        # reference does
+        got = slope(z, v)
+        assert got == want and str(got) == str(want)
+    for bad in (vecs[1][:-1], vecs[1] + (1,)):
+        with pytest.raises(ValueError):
+            slope(z, bad)
+        with pytest.raises(ValueError):
+            _fraction_slope(z, bad)
+
+
 def test_slope_ordering():
     inf = Slope.infinite()
     assert Slope.of(5) < inf

@@ -82,6 +82,27 @@ def test_key_order_matches_solve(name, p):
     assert objects and pairs
 
 
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("name", EXACT + CONFIRMED)
+def test_pruned_up_sets_match_the_order(name, p):
+    """strictly_above asks leq only where the classes allow a strict
+    inclusion; it must still list every j != i with leq(i, j), in order.
+    The co-comma contexts read their left side through _Opposite."""
+    cat = _contexts(p)[name]
+    objects = 0
+    for x in cat.enumerate_objects(3):
+        try:
+            lat = SubobjectLattice(cat, x)
+        except ExactnessViolation:
+            assert name in CONFIRMED
+            continue
+        objects += 1
+        for i in range(len(lat.subs)):
+            assert lat.strictly_above(i) == [
+                j for j in range(len(lat.subs)) if j != i and lat.leq(i, j)]
+    assert objects
+
+
 def test_lattice_without_zero_subobject_raises():
     vect = FinVect(2)
     cat = CommaCategory(one_plus(vect), identity_functor(vect),
