@@ -49,7 +49,11 @@ class FunctorSpec:
     contravariant: bool = False
 
     def __post_init__(self):
-        functor_kind(self.kind)
+        k = functor_kind(self.kind)
+        for side, cls in (("source", k.source), ("target", k.target)):
+            if cls is not None and not isinstance(getattr(self, side), cls):
+                raise ValueError(f"{self.kind} needs a {cls.__name__} "
+                                 f"category as its {side}")
 
 
 def identity_functor(inst: CategoryInstance) -> FunctorSpec:
@@ -62,17 +66,8 @@ def zero_functor(source: CategoryInstance, target: CategoryInstance) -> FunctorS
                        additive=True, left_exact=True, right_exact=True)
 
 
-def _require(inst: CategoryInstance, kind: str, side: str, cls: type) -> None:
-    """Refuse a source or target category that the kind's maps cannot
-    live in, before any of them is read."""
-    if not isinstance(inst, cls):
-        what = "quiver" if cls is Rep else "finvect"
-        raise ValueError(f"{kind} needs a {what} category as its {side}")
-
-
 def hom_from(source: CategoryInstance, x0, target: FinVect) -> FunctorSpec:
     """Hom(x0, -) into vector spaces; left exact always."""
-    _require(target, "hom_from", "target", FinVect)
     return FunctorSpec("hom_from", source, target, params=(x0,),
                        additive=True, left_exact=True, right_exact=False)
 
@@ -83,42 +78,41 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
     On vector spaces this is exact in both output senses; on quiver
     representations only the left-exact side is declared.
     """
-    _require(target, "hom_into", "target", FinVect)
     exact_source = isinstance(source, FinVect)
     return FunctorSpec("hom_into", source, target, params=(w,),
                        additive=True, left_exact=True,
                        right_exact=exact_source, contravariant=True)
 
 
+# each of these checks its index once the spec has checked that the source
+# is a quiver category
+
+
 def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
-    _require(source, "eval_vertex", "source", Rep)
-    _require(target, "eval_vertex", "target", FinVect)
+    f = FunctorSpec("eval_vertex", source, target, params=(v,),
+                    additive=True, left_exact=True, right_exact=True)
     if not 0 <= v < source.quiver.vertices:
         raise ValueError("vertex out of range")
-    return FunctorSpec("eval_vertex", source, target, params=(v,),
-                       additive=True, left_exact=True, right_exact=True)
+    return f
 
 
 def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
-    _require(source, "arrow_kernel", "source", Rep)
-    _require(target, "arrow_kernel", "target", FinVect)
+    f = FunctorSpec("arrow_kernel", source, target, params=(a,),
+                    additive=True, left_exact=True, right_exact=False)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
-    return FunctorSpec("arrow_kernel", source, target, params=(a,),
-                       additive=True, left_exact=True, right_exact=False)
+    return f
 
 
 def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
-    _require(source, "arrow_cokernel", "source", Rep)
-    _require(target, "arrow_cokernel", "target", FinVect)
+    f = FunctorSpec("arrow_cokernel", source, target, params=(a,),
+                    additive=True, left_exact=False, right_exact=True)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
-    return FunctorSpec("arrow_cokernel", source, target, params=(a,),
-                       additive=True, left_exact=False, right_exact=True)
+    return f
 
 
 def tensor(inst: FinVect, w: int) -> FunctorSpec:
-    _require(inst, "tensor", "source", FinVect)
     return FunctorSpec("tensor", inst, inst, params=(w,),
                        additive=True, left_exact=True, right_exact=True)
 
@@ -129,7 +123,6 @@ def one_plus(inst: FinVect) -> FunctorSpec:
     Non-additive (it sends the zero map to a rank-one map) and exact in
     neither direction, which is the point of keeping it around.
     """
-    _require(inst, "one_plus", "source", FinVect)
     return FunctorSpec("one_plus", inst, inst,
                        additive=False, left_exact=False, right_exact=False)
 
@@ -211,12 +204,15 @@ class FunctorKind:
     make(source, target, *param) is its public constructor.  param names
     where a workspace entry supplies the parameter: None, an object of the
     source or target category ("source_object", "target_object"), or the
-    entry's "vertex", "arrow" or "dim" field."""
+    entry's "vertex", "arrow" or "dim" field.  source and target, when set,
+    are the category types the maps need; FunctorSpec refuses any other."""
 
     on_object: Callable
     on_morphism: Callable
     make: Callable
     param: Optional[str] = None
+    source: Optional[type] = None
+    target: Optional[type] = None
 
 
 KINDS = {
@@ -230,34 +226,37 @@ KINDS = {
         lambda f, m, s, t: _hom_action(
             f, s, t, (f.params[0], m.source), (f.params[0], m.target),
             lambda phi: f.source.compose(m, phi)),
-        lambda src, tgt, x0: hom_from(src, x0, tgt), "source_object"),
+        lambda src, tgt, x0: hom_from(src, x0, tgt), "source_object",
+        target=FinVect),
     "hom_into": FunctorKind(
         lambda f, x: len(_hom_data(f.source, x, f.params[0])[0]),
         lambda f, m, s, t: _hom_action(
             f, s, t, (m.target, f.params[0]), (m.source, f.params[0]),
             lambda psi: f.source.compose(psi, m)),
-        lambda src, tgt, w: hom_into(src, w, tgt), "source_object"),
+        lambda src, tgt, w: hom_into(src, w, tgt), "source_object",
+        target=FinVect),
     "eval_vertex": FunctorKind(
         lambda f, x: x.dims[f.params[0]],
         lambda f, m, s, t: Mor(s, t, m.data[f.params[0]]),
-        lambda src, tgt, v: eval_vertex(src, v, tgt), "vertex"),
+        lambda src, tgt, v: eval_vertex(src, v, tgt), "vertex", Rep, FinVect),
     "arrow_kernel": FunctorKind(
         lambda f, x: _arrow_kernel_incl(x, f.params[0]).cols,
         _arrow_kernel_map,
-        lambda src, tgt, a: arrow_kernel(src, a, tgt), "arrow"),
+        lambda src, tgt, a: arrow_kernel(src, a, tgt), "arrow", Rep, FinVect),
     "arrow_cokernel": FunctorKind(
         _arrow_cokernel_dim, _arrow_cokernel_map,
-        lambda src, tgt, a: arrow_cokernel(src, a, tgt), "arrow"),
+        lambda src, tgt, a: arrow_cokernel(src, a, tgt), "arrow", Rep,
+        FinVect),
     "tensor": FunctorKind(
         lambda f, x: f.params[0] * x,
         lambda f, m, s, t: Mor(s, t, kron(
             Matrix.identity(f.params[0], f.target.field), m.data)),
-        lambda src, tgt, w: tensor(src, w), "dim"),
+        lambda src, tgt, w: tensor(src, w), "dim", FinVect, FinVect),
     "one_plus": FunctorKind(
         lambda f, x: 1 + x,
         lambda f, m, s, t: Mor(s, t, block_diag(
             [Matrix.identity(1, f.target.field), m.data])),
-        lambda src, tgt: one_plus(src)),
+        lambda src, tgt: one_plus(src), source=FinVect, target=FinVect),
     "constant": FunctorKind(
         lambda f, x: f.params[0],
         lambda f, m, s, t: f.target.identity(f.params[0]),
