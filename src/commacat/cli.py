@@ -146,29 +146,19 @@ def _named_morphism(ws: Workspace, ctx_name: str, mor_name: str):
     return ws.contexts[ctx_name], m
 
 
-def _cmd_kernel(ws: Workspace, args, seed: int):
+def _cmd_kernel_cokernel(ws: Workspace, args, seed: int):
+    """The kernel or the cokernel of a named morphism, by args.command,
+    with its universal-property certificate."""
     cat, m = _named_morphism(ws, args.context, args.morphism)
-    kobj, kmor = cat.kernel(m)
-    violations = verify_kernel_universal(cat, m, kobj, kmor,
-                                         random.Random(seed))
+    construct, verify = ((cat.kernel, verify_kernel_universal)
+                         if args.command == "kernel"
+                         else (cat.cokernel, verify_cokernel_universal))
+    obj, arrow = construct(m)
+    violations = verify(cat, m, obj, arrow, random.Random(seed))
     results = {
-        "carrier": serialize_object(cat, kobj),
-        "arrow": serialize_morphism(cat, kmor),
-        "class": list(cls(cat, kobj)),
-        "universal_property_violations": list(violations),
-    }
-    return (0 if not violations else 1), results, {"checks": 1}
-
-
-def _cmd_cokernel(ws: Workspace, args, seed: int):
-    cat, m = _named_morphism(ws, args.context, args.morphism)
-    cobj, cmor = cat.cokernel(m)
-    violations = verify_cokernel_universal(cat, m, cobj, cmor,
-                                           random.Random(seed))
-    results = {
-        "carrier": serialize_object(cat, cobj),
-        "arrow": serialize_morphism(cat, cmor),
-        "class": list(cls(cat, cobj)),
+        "carrier": serialize_object(cat, obj),
+        "arrow": serialize_morphism(cat, arrow),
+        "class": list(cls(cat, obj)),
         "universal_property_violations": list(violations),
     }
     return (0 if not violations else 1), results, {"checks": 1}
@@ -365,8 +355,8 @@ def _cmd_selftest(ws: Workspace, args, seed: int):
 
 COMMANDS = {
     "validate": _cmd_validate,
-    "kernel": _cmd_kernel,
-    "cokernel": _cmd_cokernel,
+    "kernel": _cmd_kernel_cokernel,
+    "cokernel": _cmd_kernel_cokernel,
     "image": _cmd_image,
     "subobjects": _cmd_subobjects,
     "kclass": _cmd_kclass,

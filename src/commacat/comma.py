@@ -26,6 +26,7 @@ from .core import (
     Mor,
     ShortExactSequence,
     Subobject,
+    _columns_matrix,
     _combine,
     all_homs,
     hom_dim,
@@ -42,7 +43,7 @@ from .core import (
 from .errors import CapabilityError, ForeignMorphism
 from .functors import FunctorSpec, apply_on_morphism, apply_on_object
 from .instances import DEFAULT_BUDGET, Budget
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Subspace, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -503,11 +504,7 @@ def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
                 c.compose(apply_on_morphism(cat.right_functor, psi), q.alpha))))
         if not cols:
             return ()
-        height = len(cols[0])
-        n = len(cols)
-        constraint = Matrix.build(height, n, cat.field,
-                                  (cols[j][i] for i in range(height) for j in range(n)))
-        null = kernel_basis(constraint)
+        null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
         sol_rows = []
         for i in range(null.dim):
             coords = null.basis.row(i)

@@ -20,7 +20,7 @@ import itertools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .errors import ExactnessViolation
 from .linalg import BudgetExceeded, Matrix, kernel_basis, rank, solve
@@ -176,20 +176,13 @@ class CategoryInstance(abc.ABC):
     def add(self, m1: Mor, m2: Mor) -> Mor:
         if (m1.source, m1.target) != (m2.source, m2.target):
             raise ValueError("cannot add morphisms with different endpoints")
-        p = self.field
-        flat = tuple((a + b) % p for a, b in zip(self.mor_flat(m1), self.mor_flat(m2)))
-        return self.span_from_flat(m1.source, m1.target, flat)
+        return _combine(self, m1.source, m1.target, (m1, m2), (1, 1))
 
     def negate(self, m: Mor) -> Mor:
-        p = self.field
-        return self.span_from_flat(m.source, m.target,
-                                   tuple(-a % p for a in self.mor_flat(m)))
+        return _combine(self, m.source, m.target, (m,), (-1,))
 
     def scale(self, c: int, m: Mor) -> Mor:
-        p = self.field
-        c %= p
-        return self.span_from_flat(m.source, m.target,
-                                   tuple(a * c % p for a in self.mor_flat(m)))
+        return _combine(self, m.source, m.target, (m,), (c,))
 
     def factor_through_mono(self, mono: Mor, m: Mor) -> Optional[Mor]:
         """The u with mono o u = m, or None when m does not factor through
@@ -263,6 +256,8 @@ def hom_dim(inst: CategoryInstance, x, y) -> int:
 
 
 def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
+    """The morphism x -> y with the given coordinates on basis, a sequence
+    of morphisms x -> y; the one linear-combination routine."""
     p = inst.field
     acc = [0] * inst.flat_len(x, y)
     for c, b in zip(coords, basis):
@@ -270,6 +265,23 @@ def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
             for i, v in enumerate(inst.mor_flat(b)):
                 acc[i] = (acc[i] + c * v) % p
     return inst.span_from_flat(x, y, tuple(acc))
+
+
+def _columns_matrix(p: int, height: int, cols: Sequence) -> Matrix:
+    """The height x len(cols) matrix over F_p whose j-th column is the flat
+    cols[j]."""
+    return Matrix.build(height, len(cols), p, (v for row in zip(*cols) for v in row))
+
+
+def hom_kernel(inst: CategoryInstance, x, y, apply: Callable[[Mor], Mor]) -> list:
+    """Basis of {h in Hom(x, y) : apply(h) = 0} for a linear map apply on
+    Hom(x, y), read off the kernel of apply on the hom basis."""
+    basis = inst.hom_basis(x, y)
+    if not basis:
+        return []
+    cols = [inst.mor_flat(apply(b)) for b in basis]
+    null = kernel_basis(_columns_matrix(inst.field, len(cols[0]), cols))
+    return [_combine(inst, x, y, basis, null.basis.row(i)) for i in range(null.dim)]
 
 
 NOT_UNIQUE = ("connecting-map system has a non-trivial solution space; "
@@ -284,28 +296,23 @@ def _required(u: Optional[Mor], side: str) -> Mor:
     return u
 
 
-def _solve_compose(inst, src, tgt, column_of, rhs_flat, unique_required=True):
-    """Shared worker: find u in Hom(src, tgt) with (linear condition) = rhs.
-
-    column_of(b) must return the flattened condition value of a hom-basis
-    element b; the condition is linear in u, so solving the resulting
-    matrix equation over F_p decides existence, and the matrix rank decides
-    uniqueness.
-    """
+def _solve_compose(inst, src, tgt, equations, apply) -> Optional[Mor]:
+    """The u in Hom(src, tgt) with apply(u, e) = rhs for each (e, rhs) in
+    equations, or None.  apply composes u with e, linearly in u, so one
+    solve on the hom basis decides existence and its rank uniqueness; a
+    solution that is not unique raises ExactnessViolation."""
     p = inst.field
     basis = inst.hom_basis(src, tgt)
-    cols = [column_of(b) for b in basis]
-    height = len(rhs_flat)
-    mat = Matrix.build(height, len(basis), p,
-                       (cols[j][i] for i in range(height) for j in range(len(basis))))
-    rhs = Matrix.build(height, 1, p, rhs_flat)
-    x = solve(mat, rhs)
+    rhs = [v for _, r in equations for v in inst.mor_flat(r)]
+    cols = [[v for e, _ in equations for v in inst.mor_flat(apply(b, e))]
+            for b in basis]
+    mat = _columns_matrix(p, len(rhs), cols)
+    x = solve(mat, Matrix.build(len(rhs), 1, p, rhs))
     if x is None:
-        return None, False
-    if unique_required and rank(mat) != len(basis):
+        return None
+    if rank(mat) != len(basis):
         raise ExactnessViolation(NOT_UNIQUE)
-    coords = [x.entry(j, 0) for j in range(len(basis))]
-    return _combine(inst, src, tgt, basis, coords), True
+    return _combine(inst, src, tgt, basis, x.entries)
 
 
 def try_solve_right(inst, src, tgt, equations) -> Optional[Mor]:
@@ -313,18 +320,7 @@ def try_solve_right(inst, src, tgt, equations) -> Optional[Mor]:
 
     Each r_i maps some S_i into src and rhs_i maps S_i into tgt.
     """
-    rhs_flat = []
-    for _, rhs in equations:
-        rhs_flat.extend(inst.mor_flat(rhs))
-
-    def column_of(b):
-        out = []
-        for r, _ in equations:
-            out.extend(inst.mor_flat(inst.compose(b, r)))
-        return out
-
-    u, _ = _solve_compose(inst, src, tgt, column_of, tuple(rhs_flat))
-    return u
+    return _solve_compose(inst, src, tgt, equations, inst.compose)
 
 
 def solve_right(inst, src, tgt, equations) -> Mor:
@@ -336,18 +332,8 @@ def try_solve_left(inst, src, tgt, equations) -> Optional[Mor]:
 
     Each l_i maps tgt into some T_i and rhs_i maps src into T_i.
     """
-    rhs_flat = []
-    for _, rhs in equations:
-        rhs_flat.extend(inst.mor_flat(rhs))
-
-    def column_of(b):
-        out = []
-        for l, _ in equations:
-            out.extend(inst.mor_flat(inst.compose(l, b)))
-        return out
-
-    u, _ = _solve_compose(inst, src, tgt, column_of, tuple(rhs_flat))
-    return u
+    return _solve_compose(inst, src, tgt, equations,
+                          lambda u, l: inst.compose(l, u))
 
 
 def solve_left(inst, src, tgt, equations) -> Mor:
@@ -454,101 +440,76 @@ def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
 # -- universal-property certification -----------------------------------
 
 
-def _null_cones_into(inst, t, m: Mor):
-    """Basis of {h: t -> m.source with m o h = 0}."""
-    p = inst.field
-    basis = inst.hom_basis(t, m.source)
-    if not basis:
-        return []
-    cols = [inst.mor_flat(inst.compose(m, b)) for b in basis]
-    height = len(cols[0])
-    mat = Matrix.build(height, len(basis), p,
-                       (cols[j][i] for i in range(height) for j in range(len(basis))))
-    null = kernel_basis(mat)
-    return [_combine(inst, t, m.source, basis, null.basis.row(i))
-            for i in range(null.dim)]
+_CONES_PER_OBJECT = 2
 
 
-def _null_cones_out(inst, m: Mor, t):
-    """Basis of {h: m.target -> t with h o m = 0}."""
-    p = inst.field
-    basis = inst.hom_basis(m.target, t)
-    if not basis:
-        return []
-    cols = [inst.mor_flat(inst.compose(b, m)) for b in basis]
-    height = len(cols[0])
-    mat = Matrix.build(height, len(basis), p,
-                       (cols[j][i] for i in range(height) for j in range(len(basis))))
-    null = kernel_basis(mat)
-    return [_combine(inst, m.target, t, basis, null.basis.row(i))
-            for i in range(null.dim)]
-
-
-def _cone_samples(inst, rng, cone_basis, count):
-    picked = list(cone_basis[:count])
+def _cone_samples(inst, rng, cone_basis):
+    """A few basis cones and one random combination of all of them."""
+    picked = list(cone_basis[:_CONES_PER_OBJECT])
     if cone_basis:
         coords = [rng.randrange(inst.field) for _ in cone_basis]
         if any(coords):
-            extra = None
-            for c, b in zip(coords, cone_basis):
-                scaled = inst.scale(c, b)
-                extra = scaled if extra is None else inst.add(extra, scaled)
-            picked.append(extra)
+            b = cone_basis[0]
+            picked.append(_combine(inst, b.source, b.target, cone_basis, coords))
     return picked
 
 
+def _cone_violations(inst, rng, tests, cones_of, factor, recompose,
+                     name: str, cone: str) -> list:
+    """The factorization loop of both verifiers: at each test object t and
+    one sampled object, the cones sampled from the basis cones_of(t) must
+    factor uniquely through the candidate arrow and recompose."""
+    violations = []
+    for t in (*tests, inst.sample_object(rng, 2)):
+        for h in _cone_samples(inst, rng, cones_of(t)):
+            try:
+                u = factor(h)
+            except ExactnessViolation:
+                violations.append(f"factorization through {name} not unique")
+                continue
+            if u is None:
+                violations.append(f"{cone} does not factor through the {name}")
+            elif recompose(u) != h:
+                violations.append(f"{name} factorization does not recompose")
+    return violations
+
+
 def verify_kernel_universal(inst: CategoryInstance, m: Mor, kobj, kmor: Mor,
-                            rng: random.Random, cone_objects=(),
-                            cones_per_object: int = 2) -> list:
+                            rng: random.Random) -> list:
     """Certify (kobj, kmor) as the kernel of m by constructive search.
 
     Checks m o kmor = 0 and kmor mono, then for each test object builds the
-    space of cones killed by m and solves for the unique factorization
-    through kmor.
+    space of cones killed by m (hom_kernel) and solves for the unique
+    factorization through kmor.
     """
     violations = []
     if inst.compose(m, kmor) != inst.zero_morphism(kobj, m.target):
         violations.append("kernel arrow does not compose to zero")
     if not inst.is_mono(kmor):
         violations.append("kernel arrow is not mono")
-    tests = list(cone_objects) or [kobj, m.source, inst.sample_object(rng, 2)]
-    for t in tests:
-        cones = _cone_samples(inst, rng, _null_cones_into(inst, t, m), cones_per_object)
-        for h in cones:
-            try:
-                u = try_through_mono(inst, kmor, h)
-            except ExactnessViolation:
-                violations.append("factorization through kernel not unique")
-                continue
-            if u is None:
-                violations.append("a cone killed by m does not factor through the kernel")
-            elif inst.compose(kmor, u) != h:
-                violations.append("kernel factorization does not recompose")
-    return violations
+    return violations + _cone_violations(
+        inst, rng, (kobj, m.source),
+        lambda t: hom_kernel(inst, t, m.source, lambda h: inst.compose(m, h)),
+        lambda h: try_through_mono(inst, kmor, h),
+        lambda u: inst.compose(kmor, u),
+        "kernel", "a cone killed by m")
 
 
 def verify_cokernel_universal(inst: CategoryInstance, m: Mor, cobj, cmor: Mor,
-                              rng: random.Random, cone_objects=(),
-                              cones_per_object: int = 2) -> list:
+                              rng: random.Random) -> list:
+    """The dual of verify_kernel_universal: cocones out of m.target that
+    kill m must factor uniquely through the epi cmor."""
     violations = []
     if inst.compose(cmor, m) != inst.zero_morphism(m.source, cobj):
         violations.append("cokernel arrow does not compose to zero")
     if not inst.is_epi(cmor):
         violations.append("cokernel arrow is not epi")
-    tests = list(cone_objects) or [cobj, m.target, inst.sample_object(rng, 2)]
-    for t in tests:
-        cones = _cone_samples(inst, rng, _null_cones_out(inst, m, t), cones_per_object)
-        for h in cones:
-            try:
-                u = try_through_epi(inst, cmor, h)
-            except ExactnessViolation:
-                violations.append("factorization through cokernel not unique")
-                continue
-            if u is None:
-                violations.append("a cocone killing m does not factor through the cokernel")
-            elif inst.compose(u, cmor) != h:
-                violations.append("cokernel factorization does not recompose")
-    return violations
+    return violations + _cone_violations(
+        inst, rng, (cobj, m.target),
+        lambda t: hom_kernel(inst, m.target, t, lambda h: inst.compose(h, m)),
+        lambda h: try_through_epi(inst, cmor, h),
+        lambda u: inst.compose(u, cmor),
+        "cokernel", "a cocone killing m")
 
 
 def verify_biproduct(inst: CategoryInstance, x, y) -> list:

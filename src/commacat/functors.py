@@ -215,9 +215,20 @@ class FunctorKind:
     target: Optional[type] = None
 
 
+def _endo(make: Callable) -> Callable:
+    """The record constructor of an endofunctor kind: a workspace target
+    other than the source is refused, not dropped."""
+    def build(src, tgt, *param):
+        if tgt != src:
+            raise ValueError("this functor kind maps a category to itself; "
+                             "its target must be its source")
+        return make(src, *param)
+    return build
+
+
 KINDS = {
     "identity": FunctorKind(lambda f, x: x, lambda f, m, s, t: m,
-                            lambda src, tgt: identity_functor(src)),
+                            _endo(identity_functor)),
     "zero": FunctorKind(lambda f, x: f.target.zero_object(),
                         lambda f, m, s, t: f.target.zero_morphism(s, t),
                         zero_functor),
@@ -251,12 +262,12 @@ KINDS = {
         lambda f, x: f.params[0] * x,
         lambda f, m, s, t: Mor(s, t, kron(
             Matrix.identity(f.params[0], f.target.field), m.data)),
-        lambda src, tgt, w: tensor(src, w), "dim", FinVect, FinVect),
+        _endo(tensor), "dim", FinVect, FinVect),
     "one_plus": FunctorKind(
         lambda f, x: 1 + x,
         lambda f, m, s, t: Mor(s, t, block_diag(
             [Matrix.identity(1, f.target.field), m.data])),
-        lambda src, tgt: one_plus(src), source=FinVect, target=FinVect),
+        _endo(one_plus), source=FinVect, target=FinVect),
     "constant": FunctorKind(
         lambda f, x: f.params[0],
         lambda f, m, s, t: f.target.identity(f.params[0]),

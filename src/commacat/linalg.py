@@ -462,39 +462,6 @@ def quotient_map(ambient_dim: int, s: Subspace):
     return Matrix.from_rows(proj_rows, p, cols=ambient_dim), q
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim or a.modulus != b.modulus:
-        raise ShapeError("subspace mismatch")
-    rows = [a.basis.row(i) for i in range(a.dim)] + [b.basis.row(i) for i in range(b.dim)]
-    return Subspace.from_rows(a.ambient_dim, a.modulus, rows)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim or a.modulus != b.modulus:
-        raise ShapeError("subspace mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim, a.modulus)
-    # v in both spans: v = x B_a = y B_b, solved through the kernel of [B_a^T | -B_b^T]
-    stacked = hstack([a.basis.transpose(), b.basis.transpose().neg()])
-    k = kernel_basis(stacked)
-    rows = []
-    for i in range(k.dim):
-        coeffs = k.basis.row(i)[:a.dim]
-        v = [0] * a.ambient_dim
-        for c, idx in zip(coeffs, range(a.dim)):
-            row = a.basis.row(idx)
-            v = [(x + c * y) % a.modulus for x, y in zip(v, row)]
-        rows.append(v)
-    return Subspace.from_rows(a.ambient_dim, a.modulus, rows)
-
-
-def all_vectors(n: int, p: int, budget: int = DEFAULT_VECTOR_BUDGET):
-    """Iterate all of F_p^n in odometer order; guarded by the vector budget."""
-    if p ** n > budget:
-        raise BudgetExceeded(f"{p}^{n} vectors exceed budget {budget}")
-    return itertools.product(range(p), repeat=n)
-
-
 @cache
 def _subspaces_cached(n: int, p: int):
     out = []

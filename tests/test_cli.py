@@ -228,6 +228,19 @@ MALFORMED = {
         [("categories", "q", QUIVER),
          ("functors", "t", {"kind": "tensor", "category": "q", "dim": 2})],
         VALIDATE),
+    # an endofunctor kind with a target other than its source
+    "tensor-into-another-category": (
+        [("categories", "q", QUIVER),
+         ("functors", "t", {"kind": "tensor", "category": "vect",
+                            "target": "q", "dim": 2})], VALIDATE),
+    "identity-into-another-category": (
+        [("categories", "q", QUIVER),
+         ("functors", "t", {"kind": "identity", "category": "vect",
+                            "target": "q"})], VALIDATE),
+    "one-plus-into-another-category": (
+        [("categories", "q", QUIVER),
+         ("functors", "t", {"kind": "one_plus", "category": "vect",
+                            "target": "q"})], VALIDATE),
 }
 
 

@@ -1,6 +1,7 @@
 """Hom-space solving and the constructive universal-property verifiers,
 exercised on the two instance categories."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from commacat.core import (
     all_homs,
     factor_between,
     hom_dim,
+    hom_kernel,
     image,
     coimage,
     inverse_of,
@@ -28,12 +30,13 @@ from commacat.core import (
     verify_kernel_universal,
     verify_ses,
 )
+from commacat.cocomma import CoCommaCategory
 from commacat.comma import CommaCategory
 from commacat.errors import ExactnessViolation
-from commacat.functors import identity_functor
+from commacat.functors import hom_into, identity_functor
 from commacat.counterexample import bundled_ses
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
-from commacat.linalg import Matrix
+from commacat.linalg import Matrix, rank
 from commacat.core import Mor
 
 VECT = FinVect(2)
@@ -129,6 +132,58 @@ def test_wrong_kernel_is_rejected():
     bad = Mor(1, 2, Matrix.from_rows([[1], [0]], 2))
     rng = random.Random(0)
     assert verify_kernel_universal(VECT, m, 1, bad, rng) != []
+
+
+@pytest.mark.parametrize("m, bad, message", [
+    # does not kill m: the image of m is the first axis
+    (vect_mor([[1], [0]]), vect_mor([[1, 0]]),
+     "cokernel arrow does not compose to zero"),
+    (vect_mor([[1], [0]]), vect_mor([[0, 0]]), "cokernel arrow is not epi"),
+    # kills m and is epi, but the cocone [0 1 0] does not factor through it
+    (vect_mor([[1], [0], [0]]), vect_mor([[0, 1, 1]]),
+     "a cocone killing m does not factor through the cokernel"),
+])
+def test_wrong_cokernel_is_rejected(m, bad, message):
+    violations = verify_cokernel_universal(VECT, m, bad.target, bad,
+                                           random.Random(0))
+    assert message in violations
+
+
+def _hom_kernel_contexts(p: int) -> dict:
+    vect = FinVect(p)
+    rep = Rep(ARROW_QUIVER, p)
+    framing = rep.obj((1, 1), [Matrix.build(1, 1, p, (1,))])
+    return {
+        "finvect": vect,
+        "rep-arrow-quiver": rep,
+        "arrow": CommaCategory(identity_functor(vect), identity_functor(vect)),
+        "framed-cocomma": CoCommaCategory(identity_functor(vect),
+                                          hom_into(rep, framing, vect)),
+    }
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("name", ("finvect", "rep-arrow-quiver", "arrow",
+                                  "framed-cocomma"))
+def test_hom_kernel_matches_brute_force(name, p):
+    """hom_kernel of post- and pre-composition with a random m is a basis
+    of exactly the homs that m kills, counted by sweeping Hom(x, y)."""
+    cat = _hom_kernel_contexts(p)[name]
+    objs = list(cat.enumerate_objects(2))
+    rng = random.Random(p)
+    for x, y, z in itertools.product(objs, repeat=3):
+        post = random_hom(cat, rng, y, z, nonzero=True)
+        pre = random_hom(cat, rng, z, x, nonzero=True)
+        for apply, zero in (
+                (lambda h: cat.compose(post, h), cat.zero_morphism(x, z)),
+                (lambda h: cat.compose(h, pre), cat.zero_morphism(z, y))):
+            basis = hom_kernel(cat, x, y, apply)
+            assert all(apply(h) == zero for h in basis)
+            flats = [cat.mor_flat(h) for h in basis]
+            assert rank(Matrix.from_rows(flats, p, cols=cat.flat_len(x, y))) \
+                == len(basis)
+            killed = sum(apply(h) == zero for h in all_homs(cat, x, y, 10 ** 4))
+            assert p ** len(basis) == killed
 
 
 def test_biproduct_laws():

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commacat.linalg import (
-    BudgetExceeded,
     Matrix,
     ShapeError,
     Subspace,
-    all_vectors,
     check_prime,
     enumerate_subspaces,
     hstack,
@@ -22,8 +20,6 @@ from commacat.linalg import (
     rref,
     solve,
     solve_left,
-    subspace_intersection,
-    subspace_sum,
     vstack,
 )
 
@@ -187,18 +183,6 @@ def test_subspace_membership():
     assert not s.contains_subspace(Subspace.full(3, 2))
 
 
-@given(st.integers(2, 4), st.randoms(use_true_random=False))
-def test_modular_law_of_dimensions(n, rng):
-    subs = enumerate_subspaces(n, 2)
-    a = subs[rng.randrange(len(subs))]
-    b = subs[rng.randrange(len(subs))]
-    u = subspace_sum(a, b)
-    w = subspace_intersection(a, b)
-    assert u.dim + w.dim == a.dim + b.dim
-    assert u.contains_subspace(a) and u.contains_subspace(b)
-    assert a.contains_subspace(w) and b.contains_subspace(w)
-
-
 def test_quotient_map_kills_exactly_the_subspace():
     s = Subspace.from_rows(3, 2, [[1, 0, 0], [0, 1, 0]])
     proj, q = quotient_map(3, s)
@@ -206,12 +190,6 @@ def test_quotient_map_kills_exactly_the_subspace():
     for row in s.basis.row_list():
         assert proj.mul(Matrix.build(3, 1, 2, row)).is_zero
     assert rank(proj) == 1
-
-
-def test_all_vectors_count_and_budget():
-    assert len(list(all_vectors(3, 2))) == 8
-    with pytest.raises(BudgetExceeded):
-        list(all_vectors(30, 2, budget=100))
 
 
 @settings(max_examples=25)
