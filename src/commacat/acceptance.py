@@ -34,7 +34,7 @@ from .core import (
     verify_ses,
 )
 from .counterexample import run_counterexample
-from .functors import apply_on_object, hom_from, hom_into, identity_functor, tensor
+from .functors import hom_from, hom_into, identity_functor, tensor
 from .instances import FinVect, Quiver, Rep, ToyGeometryConfig
 from .jordanholder import jh_filtration, length
 from .kgroup import cls, decompose, verify_additivity
@@ -146,7 +146,7 @@ def class_additivity(seed: int = 0) -> CriterionResult:
         b = rng.randint(0, 4 - a)
         alpha = random_hom(vect, rng, a, b)
         x = cat.obj(a, b, alpha)
-        base = cat.obj(a, b, vect.zero_morphism(a, b))
+        base = cat.split(a, b)
         if cls(cat, x) != cls(cat, base):
             failures.append(
                 f"class of {cat.describe_object(x)} noticed the structure map")
@@ -208,11 +208,7 @@ def hn_restriction(seed: int = 0) -> CriterionResult:
         for a in component_cat.enumerate_objects(4):
             if component_cat.is_zero_object(a):
                 continue
-            x = cat.obj(a, cat.right.zero_object(),
-                        cat.cone.zero_morphism(
-                            apply_on_object(cat.left_functor, a),
-                            apply_on_object(cat.right_functor,
-                                            cat.right.zero_object())))
+            x = cat.split(a, cat.right.zero_object())
             inside = hn_filtration(cat, z, x)
             direct = hn_filtration(component_cat, z_a, a)
             got_steps = tuple(cat.class_vector(s.obj)

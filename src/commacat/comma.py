@@ -274,12 +274,14 @@ class CommaCategory(CategoryInstance):
     def class_rank(self) -> int:
         return self.left.class_rank + self.right.class_rank
 
+    def split(self, a, b) -> CommaObject:
+        """The split triple (a, b, 0): the zero map F(a) -> G(b)."""
+        fa = apply_on_object(self.left_functor, a)
+        gb = apply_on_object(self.right_functor, b)
+        return self._object_class(a, b, self.cone.zero_morphism(fa, gb))
+
     def zero_object(self) -> CommaObject:
-        a0 = self.left.zero_object()
-        b0 = self.right.zero_object()
-        fa = apply_on_object(self.left_functor, a0)
-        gb = apply_on_object(self.right_functor, b0)
-        return self._object_class(a0, b0, self.cone.zero_morphism(fa, gb))
+        return self.split(self.left.zero_object(), self.right.zero_object())
 
     def is_zero_object(self, x) -> bool:
         return self.left.is_zero_object(x.a) and self.right.is_zero_object(x.b)
@@ -291,18 +293,9 @@ class CommaCategory(CategoryInstance):
         return self.left.class_vector(x.a) + self.right.class_vector(x.b)
 
     def simples(self) -> tuple:
-        out = []
-        b0 = self.right.zero_object()
-        gb0 = apply_on_object(self.right_functor, b0)
-        for s in self.left.simples():
-            fa = apply_on_object(self.left_functor, s)
-            out.append(self._object_class(s, b0, self.cone.zero_morphism(fa, gb0)))
-        a0 = self.left.zero_object()
-        fa0 = apply_on_object(self.left_functor, a0)
-        for t in self.right.simples():
-            gb = apply_on_object(self.right_functor, t)
-            out.append(self._object_class(a0, t, self.cone.zero_morphism(fa0, gb)))
-        return tuple(out)
+        a0, b0 = self.left.zero_object(), self.right.zero_object()
+        return (tuple(self.split(s, b0) for s in self.left.simples())
+                + tuple(self.split(a0, t) for t in self.right.simples()))
 
     def enumerate_objects(self, max_total_dim: int):
         for a in self.left.enumerate_objects(max_total_dim):
@@ -483,49 +476,41 @@ class CommaCategory(CategoryInstance):
 def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
     """Canonical basis of the hom space of a comma construction.
 
-    Additive legs make the structure-square condition linear in hom
-    coordinates, so the basis is the kernel of one constraint matrix.  A
-    trivial cone hom space makes the condition vacuous and the basis is
-    the full component product.  Anything else has no linear hom space to
-    offer and is refused.
+    The structure-square condition lives in the cone hom space
+    Hom(F(q.a), G(p.b)).  Additive legs make it linear in hom coordinates,
+    so the basis is the kernel of one constraint matrix.  A zero cone hom
+    space gives that matrix no rows, whatever the legs, and the kernel is
+    the full component product.  A non-additive leg with a nonzero cone
+    hom space has no linear hom space to offer and is refused.
     """
     lv, b_cat, c = cat._left_view, cat.right, cat.cone
     p, q = cat._square_ends(x, y)
+    if not cat.additive and hom_dim(
+            c, apply_on_object(cat.left_functor, q.a),
+            apply_on_object(cat.right_functor, p.b)):
+        raise CapabilityError(
+            "hom spaces need additive functor legs or a trivial cone hom space")
     fa_basis = lv.hom_basis(x.a, y.a)
     gb_basis = b_cat.hom_basis(x.b, y.b)
-    if cat.left_functor.additive and cat.right_functor.additive:
-        pair_len = cat.flat_len(x, y)
-        cols = []
-        for phi in fa_basis:
-            cols.append(c.mor_flat(
-                c.compose(p.alpha, apply_on_morphism(cat.left_functor, phi))))
-        for psi in gb_basis:
-            cols.append(c.mor_flat(c.negate(
-                c.compose(apply_on_morphism(cat.right_functor, psi), q.alpha))))
-        if not cols:
-            return ()
-        null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
-        sol_rows = []
-        for i in range(null.dim):
-            coords = null.basis.row(i)
-            fa = _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)])
-            gb = _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):])
-            sol_rows.append(lv.mor_flat(fa) + b_cat.mor_flat(gb))
-        canon = Subspace.from_rows(pair_len, cat.field, sol_rows)
-        return tuple(cat.mor_from_flat(x, y, canon.basis.row(i))
-                     for i in range(canon.dim))
-    fqa = apply_on_object(cat.left_functor, q.a)
-    gpb = apply_on_object(cat.right_functor, p.b)
-    if hom_dim(c, fqa, gpb) == 0:
-        # the square condition is vacuous; the hom space is the product
-        out = []
-        for phi in fa_basis:
-            out.append(cat.mor(x, y, phi, b_cat.zero_morphism(x.b, y.b)))
-        for psi in gb_basis:
-            out.append(cat.mor(x, y, lv.zero_morphism(x.a, y.a), psi))
-        return tuple(out)
-    raise CapabilityError(
-        "hom spaces need additive functor legs or a trivial cone hom space")
+    cols = []
+    for phi in fa_basis:
+        cols.append(c.mor_flat(
+            c.compose(p.alpha, apply_on_morphism(cat.left_functor, phi))))
+    for psi in gb_basis:
+        cols.append(c.mor_flat(c.negate(
+            c.compose(apply_on_morphism(cat.right_functor, psi), q.alpha))))
+    if not cols:
+        return ()
+    null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
+    sol_rows = []
+    for i in range(null.dim):
+        coords = null.basis.row(i)
+        fa = _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)])
+        gb = _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):])
+        sol_rows.append(lv.mor_flat(fa) + b_cat.mor_flat(gb))
+    canon = Subspace.from_rows(cat.flat_len(x, y), cat.field, sol_rows)
+    return tuple(cat.mor_from_flat(x, y, canon.basis.row(i))
+                 for i in range(canon.dim))
 
 
 def glued_subobjects(cat: CommaCategory, x) -> tuple:

@@ -550,6 +550,13 @@ def ses_audit():
         _SES_AUDIT = prev
 
 
+def exact_at_middle(inst: CategoryInstance, first: Mor, second: Mor) -> bool:
+    """Whether the image of first equals the kernel of second."""
+    _, imono = image(inst, first)
+    _, kmono = inst.kernel(second)
+    return inst.subobject_key(imono) == inst.subobject_key(kmono)
+
+
 def verify_ses(inst: CategoryInstance, sub: Mor, quot: Mor) -> list:
     violations = []
     if sub.target != quot.source:
@@ -560,9 +567,7 @@ def verify_ses(inst: CategoryInstance, sub: Mor, quot: Mor) -> list:
         violations.append("quot arrow is not epi")
     if inst.compose(quot, sub) != inst.zero_morphism(sub.source, quot.target):
         violations.append("quot o sub != 0")
-    _, imono = image(inst, sub)
-    _, kmono = inst.kernel(quot)
-    if inst.subobject_key(imono) != inst.subobject_key(kmono):
+    if not exact_at_middle(inst, sub, quot):
         violations.append("image(sub) != kernel(quot)")
     return violations
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .core import CategoryInstance, Mor, image, random_hom, subobject_ses
+from .core import CategoryInstance, Mor, exact_at_middle, random_hom, subobject_ses
 from .errors import ExactnessViolation
 from .instances import FinVect, Rep, RepObject
 from .linalg import (
@@ -28,6 +28,9 @@ from .linalg import (
     solve,
     solve_left,
 )
+
+# total dimension of the random objects check_functor probes with
+_PROBE_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -327,14 +330,8 @@ class FunctorReport:
         return not self.laws.violated and not self.flag_mismatches
 
 
-def _middle_exact(tgt: CategoryInstance, first: Mor, second: Mor) -> bool:
-    _, imono = image(tgt, first)
-    _, kmono = tgt.kernel(second)
-    return tgt.subobject_key(imono) == tgt.subobject_key(kmono)
-
-
 def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
-                  extra_ses=(), max_dim: int = 3) -> FunctorReport:
+                  extra_ses=()) -> FunctorReport:
     """Probe functor laws, additivity, and both exactness directions.
 
     Exactness probes run the functor over short exact sequences built from
@@ -346,7 +343,7 @@ def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
 
     law_violations = []
     law_checks = 0
-    objs = [src.zero_object()] + [src.sample_object(rng, max_dim) for _ in range(5)]
+    objs = [src.zero_object()] + [src.sample_object(rng, _PROBE_DIM) for _ in range(5)]
     for _ in range(samples):
         x = objs[rng.randrange(len(objs))]
         y = objs[rng.randrange(len(objs))]
@@ -395,7 +392,7 @@ def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
         for sub in src.enumerate_subobjects(x):
             probes.append(subobject_ses(src, sub))
     for _ in range(samples // 2):
-        x = src.sample_object(rng, max_dim)
+        x = src.sample_object(rng, _PROBE_DIM)
         if src.is_zero_object(x):
             continue
         subs = src.enumerate_subobjects(x)
@@ -412,7 +409,7 @@ def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
             first, second = f_quot, f_sub
         else:
             first, second = f_sub, f_quot
-        middle = _middle_exact(tgt, first, second)
+        middle = exact_at_middle(tgt, first, second)
         if not tgt.is_mono(first) or not middle:
             left_violations.append(
                 "left-exactness fails: "

@@ -9,6 +9,7 @@ computed vertexwise with the induced arrow maps solved exactly.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -215,22 +216,13 @@ class Quiver:
             s, t = a
             if not (0 <= s < self.vertices and 0 <= t < self.vertices):
                 raise ValueError(f"arrow {a} out of range")
-        # Kahn's algorithm; leftovers mean a directed cycle
-        indeg = [0] * self.vertices
-        for _, t in self.arrows:
-            indeg[t] += 1
-        queue = [v for v in range(self.vertices) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-        if seen != self.vertices:
-            raise ValueError("quiver has a directed cycle")
+        order = graphlib.TopologicalSorter()
+        for s, t in self.arrows:
+            order.add(t, s)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
+            raise ValueError("quiver has a directed cycle") from None
 
 
 ARROW_QUIVER = Quiver(2, ((0, 1),))
@@ -491,24 +483,26 @@ class Rep(CategoryInstance):
 
     # abelian structure
 
+    def _restricted(self, x, incls):
+        """The subrepresentation of x on the vertex subspaces spanned by
+        the columns of incls, one inclusion matrix per vertex, or None
+        when an arrow does not carry them into each other."""
+        maps = []
+        for a, (s, t) in enumerate(self.quiver.arrows):
+            restricted = solve(incls[t], x.maps[a].mul(incls[s]))
+            if restricted is None:
+                return None
+            maps.append(restricted)
+        return RepObject(tuple(i.cols for i in incls), tuple(maps))
+
     def kernel(self, m: Mor):
         self._own(m)
         x = m.source
-        incls = []
-        kdims = []
-        for v in range(self.quiver.vertices):
-            k = kernel_basis(m.data[v])
-            kdims.append(k.dim)
-            incls.append(k.basis.transpose())
-        kmaps = []
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            # x's arrow map carries Ker(g_s) into Ker(g_t); restrict it
-            restricted = solve(incls[t], x.maps[a].mul(incls[s]))
-            if restricted is None:
-                raise ExactnessViolation(
-                    f"arrow {a} does not carry the kernel into the kernel")
-            kmaps.append(restricted)
-        kobj = RepObject(tuple(kdims), tuple(kmaps))
+        incls = [kernel_basis(mat).basis.transpose() for mat in m.data]
+        kobj = self._restricted(x, incls)
+        if kobj is None:
+            raise ExactnessViolation(
+                "an arrow does not carry the kernel into the kernel")
         return kobj, self.mor(kobj, x, incls)
 
     def cokernel(self, m: Mor):
@@ -553,18 +547,9 @@ class Rep(CategoryInstance):
         out = []
         for combo in itertools.product(*per_vertex):
             incls = [s.basis.transpose() for s in combo]
-            submaps = []
-            ok = True
-            for a, (s, t) in enumerate(self.quiver.arrows):
-                restricted = solve(incls[t], x.maps[a].mul(incls[s]))
-                if restricted is None:
-                    ok = False
-                    break
-                submaps.append(restricted)
-            if not ok:
-                continue
-            sobj = RepObject(tuple(s.dim for s in combo), tuple(submaps))
-            out.append(Subobject(sobj, self.mor(sobj, x, incls), combo))
+            sobj = self._restricted(x, incls)
+            if sobj is not None:
+                out.append(Subobject(sobj, self.mor(sobj, x, incls), combo))
         return tuple(out)
 
     def subobject_key(self, mono: Mor):

@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 from .core import CategoryInstance, ShortExactSequence, short_exact
 from .errors import ExactnessViolation
-from .functors import apply_on_object
 
 
 def cls(cat: CategoryInstance, x) -> tuple:
@@ -129,9 +128,8 @@ def decompose(cat, x):
     """
     a_cls = cat.left.class_vector(x.a)
     b_cls = cat.right.class_vector(x.b)
-    a0, b0 = cat.left.zero_object(), cat.right.zero_object()
-    a_part = cat.obj(x.a, b0, _zero_structure(cat, x.a, b0))
-    b_part = cat.obj(a0, x.b, _zero_structure(cat, a0, x.b))
+    a_part = cat.split(x.a, cat.right.zero_object())
+    b_part = cat.split(cat.left.zero_object(), x.b)
 
     def via_a(s, t):
         return cat.mor(s, t, cat.left.identity(x.a),
@@ -153,8 +151,3 @@ def decompose(cat, x):
     witness = short_exact(cat, sub, quot)
     return a_cls, b_cls, witness
 
-
-def _zero_structure(cat, a, b):
-    fa = apply_on_object(cat.left_functor, a)
-    gb = apply_on_object(cat.right_functor, b)
-    return cat.cone.zero_morphism(fa, gb)

@@ -13,6 +13,7 @@ hashing, and canonical enumeration order structural.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -28,35 +29,13 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes or moduli."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin; bases 2,3,5,7 cover everything below 3.2e9
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @cache
 def check_prime(p: int) -> None:
     if not isinstance(p, int) or p < 2 or p >= MAX_MODULUS:
         raise ValueError(f"modulus must be a prime in [2, 2**31), got {p!r}")
-    if not _is_prime(p):
+    # trial division: each verdict is cached and p < 2**31, so the worst
+    # case is about 46,000 divisions
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is not prime")
 
 

@@ -31,6 +31,9 @@ from .core import (
 from .errors import ExactnessViolation
 from .linalg import BudgetExceeded
 
+# the most grid points the scan oracle walks before refusing
+GRID_MAX_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class GaussianRational:
@@ -157,13 +160,12 @@ def make_comma_stability(z_a: StabilityFunction, z_b: StabilityFunction,
                              left_rank=len(z_a.coefficients))
 
 
-def restrict_comma_stability(z: StabilityFunction,
-                             left_rank: Optional[int] = None):
+def restrict_comma_stability(z: StabilityFunction):
     """Recover the two component functions by evaluating on one-sided
     classes; inverse to the weight-1 concatenation."""
-    k = left_rank if left_rank is not None else z.left_rank
+    k = z.left_rank
     if k is None:
-        raise ValueError("no split point recorded; pass left_rank")
+        raise ValueError("no split point recorded")
     return (StabilityFunction(z.coefficients[:k]),
             StabilityFunction(z.coefficients[k:]))
 
@@ -501,8 +503,7 @@ def alpha_scan(cat, x, geometry, lo, hi) -> AlphaScanReport:
     return AlphaScanReport(lo, hi, candidates, tuple(certs))
 
 
-def alpha_grid_probe(cat, x, geometry, lo, hi, step=None,
-                     max_points: int = 4096) -> tuple:
+def alpha_grid_probe(cat, x, geometry, lo, hi) -> tuple:
     """Independent wall oracle: walk a rational grid finer than the
     minimum candidate gap and report one enclosed candidate for every
     observed type change.  Grid points that land exactly on a candidate
@@ -510,10 +511,8 @@ def alpha_grid_probe(cat, x, geometry, lo, hi, step=None,
     lo, hi = Fraction(lo), Fraction(hi)
     lat = SubobjectLattice(cat, x)
     candidates = set(wall_candidates(lat, geometry, lo, hi))
-    if step is None:
-        step = _half_min_gap(sorted(candidates), lo, hi)
-    step = Fraction(step)
-    if (hi - lo) / step > max_points:
+    step = _half_min_gap(sorted(candidates), lo, hi)
+    if (hi - lo) / step > GRID_MAX_POINTS:
         raise BudgetExceeded("grid for the scan oracle is too fine")
     points = []
     k = 0

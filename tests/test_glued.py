@@ -10,13 +10,15 @@ import pytest
 from commacat.cocomma import CoCommaCategory
 from commacat.comma import CommaCategory
 from commacat.core import Mor, all_homs
-from commacat.errors import ForeignMorphism
+from commacat.errors import CapabilityError, ForeignMorphism
 from commacat.functors import (
     arrow_kernel,
     hom_from,
     hom_into,
     identity_functor,
+    one_plus,
     tensor,
+    zero_functor,
 )
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.linalg import Matrix, Subspace
@@ -41,6 +43,11 @@ def _contexts() -> dict:
         "arrow": CommaCategory(identity_functor(vect), identity_functor(vect)),
         "identity/hom-from-sink": CommaCategory(identity_functor(vect),
                                                 hom_from(rep, sink, vect)),
+        # a non-additive left leg into a zero cone hom space
+        "one-plus/zero": CommaCategory(one_plus(vect), zero_functor(vect, vect),
+                                       assume_abelian=True),
+        "one-plus/hom-into-zero": CoCommaCategory(one_plus(vect),
+                                                  hom_into(vect, 0, vect)),
     }
 
 
@@ -73,6 +80,16 @@ def test_hom_basis_is_the_rref_basis_of_the_defined_hom_space(name):
         space = _hom_space_by_definition(cat, x, y)
         expected = [space.basis.row(i) for i in range(space.dim)]
         assert [cat.mor_flat(b) for b in cat.hom_basis(x, y)] == expected
+
+
+def test_non_additive_leg_with_a_nonzero_cone_hom_space_is_refused():
+    vect = FinVect(2)
+    cat = CommaCategory(one_plus(vect), identity_functor(vect),
+                        assume_abelian=True)
+    # Hom(F(0), G(1)) = Hom(k, k) is nonzero
+    with pytest.raises(CapabilityError, match="hom spaces need additive "
+                       "functor legs or a trivial cone hom space"):
+        cat.hom_basis(cat.zero_object(), cat.split(0, 1))
 
 
 def test_each_glued_category_refuses_the_others_morphisms():

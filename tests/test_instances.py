@@ -51,10 +51,14 @@ def test_finvect_rejects_foreign_matrices():
 
 
 def test_quiver_rejects_cycles():
-    with pytest.raises(ValueError):
-        Quiver(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        Quiver(1, ((0, 0),))
+    for vertices, arrows in ((2, ((0, 1), (1, 0))), (1, ((0, 0),)),
+                             (3, ((0, 1), (1, 2), (2, 0)))):
+        with pytest.raises(ValueError, match="directed cycle"):
+            Quiver(vertices, arrows)
+
+
+def test_quiver_accepts_parallel_arrows():
+    assert Quiver(3, ((0, 1), (0, 1), (1, 2))).arrows == ((0, 1), (0, 1), (1, 2))
 
 
 def test_quiver_rejects_out_of_range_arrow():

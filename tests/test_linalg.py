@@ -48,6 +48,30 @@ def test_check_prime_rejects_composites():
             check_prime(bad)
 
 
+def _accepts(p):
+    try:
+        check_prime(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_check_prime_agrees_with_a_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, n):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [p for p in range(n) if _accepts(p)] == \
+        [p for p in range(n) if sieve[p]]
+    # large primes below the modulus cap, and composites that pass
+    # Miller-Rabin to small bases
+    for p in (2147483647, 2147483629):
+        assert _accepts(p)
+    for c in (2147483643, 25326001, 1373653):
+        assert not _accepts(c)
+
+
 # -- matrix construction and block ops -----------------------------------
 
 
