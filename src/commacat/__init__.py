@@ -24,7 +24,6 @@ from .core import (
     hom_dim,
     image,
     random_hom,
-    ses_audit,
     short_exact,
     subobject_ses,
     verify_category,
@@ -141,7 +140,6 @@ __all__ = [
     "random_hom",
     "restrict_comma_stability",
     "run_counterexample",
-    "ses_audit",
     "short_exact",
     "slope",
     "stability_from_geometry",

@@ -6,10 +6,11 @@ budget).  Wall-clock time is therefore never part of the report; it goes
 to stderr, while the report's timing section carries deterministic work
 counters.
 
-Exit codes: 0 success, 1 a verification or validation check failed or
-the data refused a construction (the report then carries an "error"
-entry), 2 an enumeration budget was exhausted, 3 the workspace itself is
-bad.
+Exit codes: 0 success, 1 a verification or validation check failed, or
+the context or the data refused a construction (the report then carries
+an "error" entry), 2 an enumeration budget was exhausted, 3 the
+workspace or the invocation itself is bad.  Once the workspace has
+loaded, exit 1 always writes a report.
 """
 
 from __future__ import annotations
@@ -275,6 +276,8 @@ def _parse_range(text: str):
         lo, hi = Fraction(parts[0]), Fraction(parts[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"bad rational in range: {exc}") from exc
+    if not 0 < lo < hi:
+        raise SpecError(f"range {text} must satisfy 0 < lo < hi")
     return lo, hi
 
 
@@ -447,11 +450,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 2
-    except CapabilityError as exc:
-        print(f"not available in this context: {exc}", file=sys.stderr)
-        return 1
-    except (ExactnessViolation, ForeignMorphism) as exc:
-        # a construction the data refused; the report records which one
+    except (CapabilityError, ExactnessViolation, ForeignMorphism) as exc:
+        # a construction the context or the data refused; the report
+        # records which one
         print(f"construction failed: {exc}", file=sys.stderr)
         if ws is None:
             return 1

@@ -43,7 +43,7 @@ from .core import (
 from .errors import CapabilityError, ForeignMorphism
 from .functors import FunctorSpec, apply_on_morphism, apply_on_object
 from .instances import DEFAULT_BUDGET, Budget
-from .linalg import Subspace, kernel_basis
+from .linalg import kernel_basis
 
 
 @dataclass(frozen=True)
@@ -502,15 +502,16 @@ def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
     if not cols:
         return ()
     null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
-    sol_rows = []
+    basis = []
     for i in range(null.dim):
         coords = null.basis.row(i)
         fa = _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)])
         gb = _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):])
-        sol_rows.append(lv.mor_flat(fa) + b_cat.mor_flat(gb))
-    canon = Subspace.from_rows(cat.flat_len(x, y), cat.field, sol_rows)
-    return tuple(cat.mor_from_flat(x, y, canon.basis.row(i))
-                 for i in range(canon.dim))
+        # RREF coordinates times the block-diagonal RREF component bases
+        # give RREF rows, so these flats are the canonical basis as they are
+        basis.append(cat.mor_from_flat(
+            x, y, lv.mor_flat(fa) + b_cat.mor_flat(gb)))
+    return tuple(basis)
 
 
 def glued_subobjects(cat: CommaCategory, x) -> tuple:

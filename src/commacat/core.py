@@ -18,7 +18,6 @@ from __future__ import annotations
 import abc
 import itertools
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -531,24 +530,6 @@ def verify_biproduct(inst: CategoryInstance, x, y) -> list:
 
 # -- short exact sequences ----------------------------------------------
 
-_SES_AUDIT: Optional[list] = None
-
-
-@contextmanager
-def ses_audit():
-    """Collect every sequence validated by short_exact inside the block.
-
-    Used for after-the-fact audits, e.g. re-checking class-vector
-    additivity over everything a workload constructed.
-    """
-    global _SES_AUDIT
-    prev = _SES_AUDIT
-    _SES_AUDIT = []
-    try:
-        yield _SES_AUDIT
-    finally:
-        _SES_AUDIT = prev
-
 
 def exact_at_middle(inst: CategoryInstance, first: Mor, second: Mor) -> bool:
     """Whether the image of first equals the kernel of second."""
@@ -576,10 +557,7 @@ def short_exact(inst: CategoryInstance, sub: Mor, quot: Mor) -> ShortExactSequen
     violations = verify_ses(inst, sub, quot)
     if violations:
         raise ExactnessViolation("not short exact: " + "; ".join(violations))
-    ses = ShortExactSequence(sub, quot)
-    if _SES_AUDIT is not None:
-        _SES_AUDIT.append((inst, ses))
-    return ses
+    return ShortExactSequence(sub, quot)
 
 
 def subobject_ses(inst: CategoryInstance, sub: Subobject) -> ShortExactSequence:

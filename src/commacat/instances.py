@@ -12,7 +12,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cache
 
 from .core import NOT_UNIQUE, CategoryInstance, Mor, Subobject
@@ -21,7 +21,6 @@ from .linalg import (
     DEFAULT_VECTOR_BUDGET,
     BudgetExceeded,
     Matrix,
-    Subspace,
     block_diag,
     check_prime,
     enumerate_subspaces,
@@ -45,6 +44,11 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+def _is_int(v) -> bool:
+    """Whether v is an int proper; a bool is not one here."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # -- vector spaces -------------------------------------------------------
@@ -214,6 +218,8 @@ class Quiver:
             raise ValueError("negative vertex count")
         for a in self.arrows:
             s, t = a
+            if not (_is_int(s) and _is_int(t)):
+                raise ValueError(f"arrow {a} has a non-integer endpoint")
             if not (0 <= s < self.vertices and 0 <= t < self.vertices):
                 raise ValueError(f"arrow {a} out of range")
         order = graphlib.TopologicalSorter()
@@ -583,9 +589,11 @@ class ToyGeometryConfig:
     """Integer degree/rank functionals on the sheaf-side class lattice and
     a dimension functional on the section side.
 
-    Validity mirrors what the slope formulas need: rank is non-negative on
-    simples, and a rank-zero simple must carry positive degree so its
-    central-charge value -deg + i*rk stays in the allowed half plane.
+    Validity mirrors what the slope formulas need: every entry is an
+    integer, rank is non-negative on simples, a rank-zero simple must
+    carry positive degree so its central-charge value -deg + i*rk stays in
+    the allowed half plane, and every dimension entry is positive, so each
+    left simple gets the strictly negative charge -alpha * dim_gamma.
     """
 
     deg: tuple
@@ -595,14 +603,15 @@ class ToyGeometryConfig:
     def __post_init__(self):
         if len(self.deg) != len(self.rk) or not self.deg or not self.dim_gamma:
             raise ValueError("deg and rk must be equal-length non-empty tuples")
+        if not all(map(_is_int, self.deg + self.rk + self.dim_gamma)):
+            raise ValueError("deg, rk and dim_gamma entries must be integers")
         for d, r in zip(self.deg, self.rk):
             if r < 0:
                 raise ValueError("rank functional must be non-negative on simples")
             if r == 0 and d <= 0:
                 raise ValueError("a rank-zero simple must have positive degree")
-        for g in self.dim_gamma:
-            if g < 0:
-                raise ValueError("dimension functional must be non-negative")
+        if any(g <= 0 for g in self.dim_gamma):
+            raise ValueError("dimension functional must be positive")
 
     @classmethod
     def default_coherent(cls) -> "ToyGeometryConfig":

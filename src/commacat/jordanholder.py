@@ -1,7 +1,7 @@
 """Composition series.
 
-Simplicity is decided by literally enumerating subobjects: exactly the
-zero subobject and the whole object.  A composition series is grown by
+An object is simple when its subobject lattice holds only the zero
+subobject and the whole object.  A composition series is grown by
 repeatedly picking a minimal nonzero subobject above the current stage;
 the chosen one is either the first in canonical enumeration order or a
 seeded-random pick, and the factor multiset is provably independent of
@@ -20,15 +20,8 @@ from .stability import SubobjectLattice
 
 def is_simple(cat: CategoryInstance, x) -> bool:
     """Nonzero with no proper nontrivial subobject."""
-    if cat.is_zero_object(x):
-        return False
-    count = 0
-    for s in cat.enumerate_subobjects(x):
-        trivial = cat.is_zero_object(s.obj) or cat.is_epi(s.mono)
-        if not trivial:
-            return False
-        count += 1
-    return count >= 2
+    return not cat.is_zero_object(x) and \
+        not SubobjectLattice(cat, x).proper_classes()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import CategoryInstance, ShortExactSequence, short_exact
+from .core import CategoryInstance, short_exact
 from .errors import ExactnessViolation
 
 
@@ -66,37 +66,25 @@ class AdditivityReport:
         return not self.violations
 
 
-def verify_additivity(sequences, assignment: Optional[AdditiveAssignment] = None,
-                      cat: Optional[CategoryInstance] = None) -> AdditivityReport:
-    """Check f(middle) = f(sub) + f(quot) over a batch of sequences.
+def verify_additivity(cat: CategoryInstance, sequences,
+                      assignment: Optional[AdditiveAssignment] = None
+                      ) -> AdditivityReport:
+    """Check f(middle) = f(sub) + f(quot) over short exact sequences of cat.
 
-    sequences is an iterable of (cat, ses) pairs as produced by the audit
-    hook, or of bare sequences when cat is passed.  With no assignment the
-    class vector itself is the evaluated function.
+    f is the class vector, or the induced map of assignment when given.
     """
+    def f(x):
+        v = cls(cat, x)
+        return v if assignment is None else apply_induced(assignment, v)
+
     violations = []
     checked = 0
-    for entry in sequences:
-        if isinstance(entry, ShortExactSequence):
-            inst, ses = cat, entry
-            if inst is None:
-                raise ValueError("bare sequences need the cat argument")
-        else:
-            inst, ses = entry
-        sub_v = cls(inst, ses.sub.source)
-        mid_v = cls(inst, ses.sub.target)
-        quot_v = cls(inst, ses.quot.target)
-        if assignment is None:
-            lhs = mid_v
-            rhs = tuple(s + q for s, q in zip(sub_v, quot_v))
-        else:
-            lhs = apply_induced(assignment, mid_v)
-            rhs = tuple(s + q for s, q in zip(
-                apply_induced(assignment, sub_v),
-                apply_induced(assignment, quot_v)))
+    for ses in sequences:
+        lhs = f(ses.sub.target)
+        rhs = tuple(s + q for s, q in zip(f(ses.sub.source), f(ses.quot.target)))
         checked += 1
         if lhs != rhs:
-            violations.append((inst.describe_object(ses.sub.target), lhs, rhs))
+            violations.append((cat.describe_object(ses.sub.target), lhs, rhs))
     return AdditivityReport(checked, tuple(violations))
 
 

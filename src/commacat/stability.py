@@ -24,7 +24,6 @@ from typing import Optional
 from .core import (
     CategoryInstance,
     Filtration,
-    Subobject,
     factor_between,
     subobject_leq,
 )
@@ -94,12 +93,10 @@ class StabilityFunction:
     """Linear map on class vectors given by one coefficient per simple.
 
     left_rank records, for functions on a two-component class lattice, how
-    many leading coefficients belong to the left component; weights keeps
-    the positive pair used by the weighted-sum constructor.
+    many leading coefficients belong to the left component.
     """
 
     coefficients: tuple
-    weights: Optional[tuple] = None
     left_rank: Optional[int] = None
 
     def __post_init__(self):
@@ -156,8 +153,7 @@ def make_comma_stability(z_a: StabilityFunction, z_b: StabilityFunction,
         raise ValueError("weights must be strictly positive")
     coeffs = tuple(c.scale(x) for c in z_a.coefficients) + \
         tuple(c.scale(y) for c in z_b.coefficients)
-    return StabilityFunction(coeffs, weights=(x, y),
-                             left_rank=len(z_a.coefficients))
+    return StabilityFunction(coeffs, left_rank=len(z_a.coefficients))
 
 
 def restrict_comma_stability(z: StabilityFunction):
@@ -197,12 +193,14 @@ class SubobjectLattice:
             raise ExactnessViolation(
                 f"{cat.describe_object(x)} has no zero subobject; "
                 "the category is not abelian on this object")
-        whole_key = cat.subobject_key(cat.identity(x))
-        if whole_key not in self.keys:
+        # classes are dimension vectors, so x is its one subobject of
+        # full class
+        whole = cat.class_vector(x)
+        if whole not in self.classes:
             raise ExactnessViolation(
                 f"{cat.describe_object(x)} is not among its own subobjects; "
                 "the category is not abelian on this object")
-        self.whole_index = self.keys.index(whole_key)
+        self.whole_index = self.classes.index(whole)
         self._leq = {}
         self._factors = {}
 
@@ -226,6 +224,11 @@ class SubobjectLattice:
                 if c != below and all(p >= q for p, q in zip(c, below))
                 and self.leq(i, j)]
 
+    def proper_classes(self) -> list:
+        """The classes of the subobjects other than 0 and x."""
+        return [c for i, c in enumerate(self.classes)
+                if i not in (self.zero_index, self.whole_index)]
+
     def diff(self, j: int, i: int) -> tuple:
         return tuple(p - q for p, q in zip(self.classes[j], self.classes[i]))
 
@@ -245,29 +248,20 @@ class SubobjectLattice:
 # -- semistability and filtrations ---------------------------------------
 
 
-def proper_nontrivial_subobjects(cat: CategoryInstance, x):
-    for s in cat.enumerate_subobjects(x):
-        if cat.is_zero_object(s.obj):
-            continue
-        if cat.is_epi(s.mono):
-            continue
-        yield s
-
-
 def is_semistable(cat: CategoryInstance, z: StabilityFunction, x) -> bool:
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no slope")
     mu = slope(z, cat.class_vector(x))
-    return all(slope(z, cat.class_vector(s.obj)) <= mu
-               for s in proper_nontrivial_subobjects(cat, x))
+    return all(slope(z, c) <= mu
+               for c in SubobjectLattice(cat, x).proper_classes())
 
 
 def is_stable(cat: CategoryInstance, z: StabilityFunction, x) -> bool:
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no slope")
     mu = slope(z, cat.class_vector(x))
-    return all(slope(z, cat.class_vector(s.obj)) < mu
-               for s in proper_nontrivial_subobjects(cat, x))
+    return all(slope(z, c) < mu
+               for c in SubobjectLattice(cat, x).proper_classes())
 
 
 @dataclass(frozen=True)

@@ -222,24 +222,28 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
 
 def _build_stability(name: str, entry: dict) -> StabilityFunction:
     where = f"stability.{name}"
+    raw = _need(entry, "coefficients", where)
+    if not isinstance(raw, list):
+        raise SpecError(f"{where}: coefficients must be a list of [re, im]")
     coeffs = []
-    for i, pair in enumerate(_need(entry, "coefficients", where)):
+    for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecError(f"{where}: coefficient {i} must be [re, im]")
         coeffs.append(GaussianRational(parse_rational(pair[0]),
                                        parse_rational(pair[1])))
-    weights = None
     if "weights" in entry:
+        # the weight pair the coefficients were built with: checked for
+        # shape, not read
         w = entry["weights"]
         if not isinstance(w, list) or len(w) != 2:
             raise SpecError(f"{where}: weights must be [x, y]")
-        weights = (parse_rational(w[0]), parse_rational(w[1]))
+        for v in w:
+            parse_rational(v)
     left_rank = entry.get("left_rank")
     if left_rank is not None:
         _count(left_rank, f"{where}.left_rank")
     try:
-        return StabilityFunction(tuple(coeffs), weights=weights,
-                                 left_rank=left_rank)
+        return StabilityFunction(tuple(coeffs), left_rank=left_rank)
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
 

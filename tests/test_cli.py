@@ -183,8 +183,9 @@ def test_exit_2_on_object_above_max_total_dim(tmp_path, command):
 
 QUIVER = {"kind": "quiver", "vertices": 2, "arrows": [[0, 1]]}
 VALIDATE = ("validate",)
-# each case: edits to the bundled arrow workspace, as (path..., value),
-# and the command run on the result
+SCAN = ("scan-alpha", "system", "toy_curve", "1/2:4")
+# each case: edits to a bundled workspace, as (path..., value), the
+# command run on the result, and the workspace when it is not arrow
 MALFORMED = {
     "max-vectors-not-a-number": ([("budget", "max_vectors", "big")],
                                  ("subobjects", "arrow", "identity_map")),
@@ -241,6 +242,22 @@ MALFORMED = {
         [("categories", "q", QUIVER),
          ("functors", "t", {"kind": "one_plus", "category": "vect",
                             "target": "q"})], VALIDATE),
+    "coefficients-a-number": ([("stability", "Z", "coefficients", 5)],
+                              VALIDATE),
+    "coefficients-null": ([("stability", "Z", "coefficients", None)],
+                          VALIDATE),
+    "weights-entry-a-float": ([("stability", "Z", "weights", ["1", 1.5])],
+                              VALIDATE),
+    "arrow-endpoint-a-float": ([("categories", "mods", "arrows", [[0, 1.0]])],
+                               VALIDATE, "framed_modules"),
+    "deg-entry-a-string": ([("stability", "toy_curve", "deg", ["x", 1])],
+                           SCAN, "coherent_systems"),
+    "deg-entry-a-fraction": ([("stability", "toy_curve", "deg", [1.5, 1])],
+                             SCAN, "coherent_systems"),
+    "deg-entry-a-bool": ([("stability", "toy_curve", "deg", [True, 1])],
+                         SCAN, "coherent_systems"),
+    "dim-gamma-zero": ([("stability", "toy_curve", "dim_gamma", [0])],
+                       SCAN, "coherent_systems"),
 }
 
 
@@ -248,8 +265,8 @@ MALFORMED = {
 def test_exit_3_on_malformed_workspace(tmp_path, case):
     """A workspace of the wrong shape or types is refused at load: exit 3,
     one spec error line, no traceback."""
-    edits, command = MALFORMED[case]
-    with open(bundled("arrow")) as fh:
+    edits, command, *workspace = MALFORMED[case]
+    with open(bundled(workspace[0] if workspace else "arrow")) as fh:
         doc = json.load(fh)
     for *path, key, value in edits:
         node = doc
@@ -259,6 +276,14 @@ def test_exit_3_on_malformed_workspace(tmp_path, case):
     spec = tmp_path / "malformed.json"
     spec.write_text(json.dumps(doc))
     proc = run_cli(*command, "--spec", str(spec), check_code=3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
+
+
+@pytest.mark.parametrize("scan_range", ["0:4", "4:1", "1/2:1/2"])
+def test_exit_3_on_a_scan_range_outside_0_lo_hi(scan_range):
+    proc = run_cli("scan-alpha", "system", "toy_curve", scan_range,
+                   "--spec", bundled("coherent_systems"), check_code=3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
 
@@ -326,6 +351,26 @@ def test_exit_1_with_report_on_exactness_violation(tmp_path):
     assert doc["exit_code"] == 1
     assert doc["error"]["type"] == "ExactnessViolation"
     assert "no zero subobject" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", [("subobjects", "broken", "x"), ("jh", "x")],
+                         ids=["subobjects", "jh"])
+def test_exit_1_with_report_on_a_refused_capability(tmp_path, command):
+    """Without assume_abelian the one_plus leg does not open the abelian
+    interface; a command that needs it exits 1 and still writes its
+    report, carrying the CapabilityError."""
+    spec = json.loads(json.dumps(ONE_PLUS_WORKSPACE))
+    del spec["contexts"]["broken"]["assume_abelian"]
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    proc = run_cli(*command, "--spec", str(path), "--out", str(out),
+                   check_code=1)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("construction failed:"), proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    assert doc["error"]["type"] == "CapabilityError"
 
 
 def test_kclass_reports_a_triple_that_does_not_split(tmp_path):

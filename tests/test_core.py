@@ -16,7 +16,6 @@ from commacat.core import (
     coimage,
     inverse_of,
     random_hom,
-    ses_audit,
     short_exact,
     solve_right,
     solve_through_epi,
@@ -232,16 +231,6 @@ def test_factor_between_nested_subspaces():
             assert VECT.is_epi(proj)
     # every plane in F_2^3 holds exactly 3 of the 7 lines
     assert hits == 21
-
-
-def test_ses_audit_hook_collects():
-    vect, ses = bundled_ses()
-    with ses_audit() as log:
-        short_exact(vect, ses.sub, ses.quot)
-        assert len(log) == 1
-        inst, recorded = log[0]
-        assert inst is vect
-        assert recorded.sub == ses.sub
 
 
 @settings(deadline=None)

@@ -4,7 +4,7 @@ two-component decomposition with its verified witness sequence."""
 import random
 
 from commacat.comma import CommaCategory
-from commacat.core import random_hom, ses_audit, subobject_ses, verify_ses
+from commacat.core import random_hom, subobject_ses, verify_ses
 from commacat.functors import hom_from, identity_functor
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.kgroup import (
@@ -78,14 +78,11 @@ def test_degree_assignment_on_the_arrow_quiver():
 
 
 def test_additivity_over_collected_sequences():
-    with ses_audit() as log:
-        for x in ARROW.enumerate_objects(4):
-            if ARROW.is_zero_object(x):
-                continue
-            for s in ARROW.enumerate_subobjects(x):
-                subobject_ses(ARROW, s)
-        assert len(log) >= 200
-        report = verify_additivity(log)
+    log = [subobject_ses(ARROW, s) for x in ARROW.enumerate_objects(4)
+           if not ARROW.is_zero_object(x)
+           for s in ARROW.enumerate_subobjects(x)]
+    assert len(log) >= 200
+    report = verify_additivity(ARROW, log)
     assert report.clean
     assert report.checked == len(log)
 
@@ -93,7 +90,7 @@ def test_additivity_over_collected_sequences():
 def test_additivity_accepts_bare_sequences_with_cat():
     seqs = [subobject_ses(REP, s)
             for s in REP.enumerate_subobjects(REP.projective(0))]
-    report = verify_additivity(seqs, cat=REP)
+    report = verify_additivity(REP, seqs)
     assert report.clean
 
 
@@ -101,8 +98,23 @@ def test_additivity_flags_a_corrupted_sequence():
     from commacat.core import ShortExactSequence
     good = subobject_ses(VECT, VECT.enumerate_subobjects(2)[1])
     broken = ShortExactSequence(good.sub, VECT.identity(2))
-    report = verify_additivity([broken], cat=VECT)
+    report = verify_additivity(VECT, [broken])
     assert not report.clean
+
+
+def test_additivity_under_an_assignment():
+    """With an assignment the evaluated function is the induced map on
+    classes, here the degree d2 - d1 on the arrow quiver."""
+    degree = AdditiveAssignment(simple_values=((-1,), (1,)))
+    seqs = [subobject_ses(REP, s)
+            for s in REP.enumerate_subobjects(REP.projective(0))]
+    report = verify_additivity(REP, seqs, degree)
+    assert report.clean and report.checked == len(seqs)
+    from commacat.core import ShortExactSequence
+    broken = ShortExactSequence(seqs[1].sub, REP.identity(REP.projective(0)))
+    (where, lhs, rhs), = verify_additivity(REP, [broken], degree).violations
+    assert lhs == apply_induced(degree, cls(REP, REP.projective(0)))
+    assert lhs != rhs
 
 
 def test_decompose_zero():

@@ -103,6 +103,24 @@ def test_pruned_up_sets_match_the_order(name, p):
     assert objects
 
 
+@pytest.mark.parametrize("p", sorted(MAX_DIM))
+@pytest.mark.parametrize("name", EXACT + CONFIRMED)
+def test_lattice_whole_is_the_identity_subobject(name, p):
+    """The lattice finds x among its subobjects by class; that subobject
+    is the one whose key is the key of the identity."""
+    cat = _contexts(p)[name]
+    objects = 0
+    for x in cat.enumerate_objects(MAX_DIM[p]):
+        try:
+            lat = SubobjectLattice(cat, x)
+        except ExactnessViolation:
+            assert name in CONFIRMED
+            continue
+        objects += 1
+        assert lat.keys[lat.whole_index] == cat.subobject_key(cat.identity(x))
+    assert objects
+
+
 def test_lattice_without_zero_subobject_raises():
     vect = FinVect(2)
     cat = CommaCategory(one_plus(vect), identity_functor(vect),
