@@ -22,8 +22,8 @@ from fractions import Fraction
 from .cocomma import CoCommaCategory
 from .comma import CommaCategory
 from .core import (
+    _hom_action,
     all_homs,
-    hom_kernel,
     random_hom,
     subobject_ses,
     verify_cokernel_universal,
@@ -32,11 +32,12 @@ from .core import (
     verify_ses,
 )
 from .counterexample import run_counterexample
+from .errors import CertificateFailure
 from .functors import hom_from, hom_into, identity_functor, tensor
 from .instances import FinVect, Quiver, Rep
 from .jordanholder import jh_filtration, length
 from .kgroup import cls, decompose, verify_additivity
-from .linalg import Matrix
+from .linalg import Matrix, rank
 from .stability import (
     GaussianRational,
     StabilityFunction,
@@ -178,7 +179,7 @@ def hn_exhaustive(seed: int = 0) -> CriterionResult:
         try:
             greedy = hn_filtration(cat, z, x, lattice=lat)
             brute = exhaustive_hn_search(cat, z, x)
-        except AssertionError as exc:
+        except CertificateFailure as exc:
             failures.append(f"{cat.describe_object(x)}: {exc}")
             continue
         if greedy.factor_classes != brute:
@@ -260,7 +261,7 @@ def composition_series(seed: int = 0) -> CriterionResult:
                         f"{cat.describe_object(x)}: seed {seed + s} factor "
                         "multiset differs from the canonical one")
             total = length(cat, x, lattice=lat)
-        except AssertionError as exc:
+        except CertificateFailure as exc:
             failures.append(f"{cat.describe_object(x)}: {exc}")
             continue
         left_len = length(vect, x.a) if not vect.is_zero_object(x.a) else 0
@@ -307,9 +308,13 @@ def counterexample(seed: int = 0) -> CriterionResult:
 
 
 def _postcomposition_injective(cat, m, tests) -> bool:
-    """Categorical cancellation: no nonzero cone is killed by m."""
-    return not any(hom_kernel(cat, t, m.source, lambda h: cat.compose(m, h))
-                   for t in tests)
+    """Categorical cancellation: no nonzero cone is killed by m, that is,
+    composing with m on Hom(t, m.source) has full column rank."""
+    for t in tests:
+        action = _hom_action(cat, t, m.source, lambda h: cat.compose(m, h))
+        if rank(action) != action.cols:
+            return False
+    return True
 
 
 def cocomma_suite(seed: int = 0) -> CriterionResult:
@@ -394,7 +399,7 @@ def wall_scan(seed: int = 0) -> CriterionResult:
     walls = tuple(report.walls)
     try:
         oracle = alpha_grid_probe(cat, system, geometry, lo, hi)
-    except AssertionError as exc:
+    except CertificateFailure as exc:
         oracle = None
         failures.append(f"grid oracle: {exc}")
     if oracle is not None and walls != oracle:

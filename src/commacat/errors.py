@@ -20,6 +20,12 @@ class ExactnessViolation(Exception):
     refused to produce the map the construction requires."""
 
 
+class CertificateFailure(ExactnessViolation):
+    """A computed result failed the check that certifies it, such as an
+    HN factor that is not semistable or a composition factor that is not
+    simple."""
+
+
 class ForeignMorphism(ValueError):
     """A morphism was handed to an instance it does not belong to."""
 

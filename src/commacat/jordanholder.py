@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import CategoryInstance, Filtration
+from .errors import CertificateFailure
 from .stability import SubobjectLattice
 
 
@@ -69,7 +70,7 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
     for prev, cur in zip(chain, chain[1:]):
         fobj = lat.factor_object(prev, cur)
         if not is_simple(cat, fobj):
-            raise AssertionError("composition factor is not simple")
+            raise CertificateFailure("composition factor is not simple")
         factors.append(fobj)
         classes.append(lat.diff(cur, prev))
     filt = Filtration(tuple(lat.subs[i] for i in chain), tuple(factors))
@@ -78,11 +79,11 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
 
 def length(cat: CategoryInstance, x,
            lattice: Optional[SubobjectLattice] = None) -> int:
-    """Composition length; asserted independent of the selection policy."""
+    """Composition length; checked independent of the selection policy."""
     canonical = jh_filtration(cat, x, "canonical", lattice=lattice)
     probe = jh_filtration(cat, x, "random", seed=1, lattice=lattice)
     if probe.length != canonical.length:
-        raise AssertionError("composition length depended on the policy")
+        raise CertificateFailure("composition length depended on the policy")
     return canonical.length
 
 
@@ -92,7 +93,7 @@ def comma_simples(cat) -> tuple:
     out = []
     for x in cat.simples():
         if not is_simple(cat, x):
-            raise AssertionError(
+            raise CertificateFailure(
                 f"declared simple {cat.describe_object(x)} has a proper "
                 "nontrivial subobject")
         out.append(x)

@@ -27,7 +27,7 @@ from .core import (
     factor_between,
     subobject_leq,
 )
-from .errors import ExactnessViolation
+from .errors import CertificateFailure, ExactnessViolation
 from .linalg import BudgetExceeded
 
 # the most grid points the scan oracle walks before refusing
@@ -185,7 +185,7 @@ class SubobjectLattice:
         self.subs = cat.enumerate_subobjects(x)
         self.keys = [s.key for s in self.subs]
         if len(set(self.keys)) != len(self.keys):
-            raise AssertionError("subobject enumeration repeated a key")
+            raise CertificateFailure("subobject enumeration repeated a key")
         self.classes = [cat.class_vector(s.obj) for s in self.subs]
         self.zero_index = next((i for i, s in enumerate(self.subs)
                                 if cat.is_zero_object(s.obj)), None)
@@ -240,7 +240,7 @@ class SubobjectLattice:
             else:
                 step = factor_between(self.cat, self.subs[i], self.subs[j])
                 if step is None:
-                    raise AssertionError("factor requested outside the order")
+                    raise CertificateFailure("factor requested outside the order")
                 self._factors[(i, j)] = step[1]
         return self._factors[(i, j)]
 
@@ -281,7 +281,7 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
 
     Each step adjoins the strictly larger subobject maximizing first the
     slope of the new factor, then the factor's total class size.  That
-    maximizer is unique by standard slope theory; uniqueness is asserted,
+    maximizer is unique by standard slope theory; uniqueness is checked,
     and the finished filtration is re-verified: every factor semistable,
     slopes strictly decreasing.
     """
@@ -302,9 +302,9 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
             elif score == best_score:
                 ties += 1
         if best is None:
-            raise AssertionError("no strictly larger subobject found")
+            raise CertificateFailure("no strictly larger subobject found")
         if ties != 1:
-            raise AssertionError(
+            raise CertificateFailure(
                 "maximal destabilizing subobject is not unique; "
                 "the greedy invariant is broken")
         chain.append(best)
@@ -315,15 +315,15 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
         fobj = lat.factor_object(prev, cur)
         diff = lat.diff(cur, prev)
         if cat.class_vector(fobj) != diff:
-            raise AssertionError("factor class disagrees with the chain")
+            raise CertificateFailure("factor class disagrees with the chain")
         if not is_semistable(cat, z, fobj):
-            raise AssertionError("greedy factor is not semistable")
+            raise CertificateFailure("greedy factor is not semistable")
         factors.append(fobj)
         factor_slopes.append(slope(z, diff))
         factor_classes.append(diff)
     for s1, s2 in zip(factor_slopes, factor_slopes[1:]):
         if not s2 < s1:
-            raise AssertionError("factor slopes are not strictly decreasing")
+            raise CertificateFailure("factor slopes are not strictly decreasing")
     filt = Filtration(tuple(lat.subs[i] for i in chain), tuple(factors))
     return HNFiltration(filt, tuple(factor_slopes), tuple(factor_classes))
 
@@ -371,7 +371,7 @@ def exhaustive_hn_search(cat: CategoryInstance, z: StabilityFunction, x):
 
     extend([lat.zero_index], [], None)
     if len(survivors) != 1:
-        raise AssertionError(
+        raise CertificateFailure(
             f"{len(survivors)} filtrations satisfy the defining conditions; "
             "expected exactly one")
     return survivors[0]
@@ -527,7 +527,7 @@ def alpha_grid_probe(cat, x, geometry, lo, hi) -> tuple:
             continue
         inside = [w for w in candidates if p1 < w <= p2]
         if len(inside) != 1:
-            raise AssertionError(
+            raise CertificateFailure(
                 "a type change is not bracketed by exactly one candidate; "
                 "the grid is too coarse")
         walls.append(inside[0])

@@ -373,6 +373,21 @@ def test_exit_1_with_report_on_a_refused_capability(tmp_path, command):
     assert doc["error"]["type"] == "CapabilityError"
 
 
+def test_exit_1_with_report_on_a_failed_certificate(tmp_path, monkeypatch,
+                                                   capsys):
+    """A filtration check that fails raises CertificateFailure; cli.main
+    exits 1 and writes a report carrying it instead of a traceback."""
+    from commacat import cli, stability
+    monkeypatch.setattr(stability, "is_semistable", lambda *args: False)
+    out = tmp_path / "r.json"
+    assert cli.main(["hn", "Z", "zero_map", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("construction failed:")
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    assert doc["error"] == {"type": "CertificateFailure",
+                            "message": "greedy factor is not semistable"}
+
+
 def test_kclass_reports_a_triple_that_does_not_split(tmp_path):
     """Over a non-additive leg the zero maps of the splitting sequence need
     not exist; kclass then exits 1 with one stderr line and a report

@@ -11,7 +11,6 @@ from commacat.core import (
     all_homs,
     factor_between,
     hom_dim,
-    hom_kernel,
     image,
     coimage,
     inverse_of,
@@ -37,6 +36,8 @@ from commacat.counterexample import bundled_ses
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.linalg import Matrix, rank
 from commacat.core import Mor
+
+from cone_oracle import hom_kernel
 
 VECT = FinVect(2)
 REP = Rep(ARROW_QUIVER, 2)

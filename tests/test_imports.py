@@ -1,7 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package check is an assert.
 
 The package re-exports its public names from `__init__.py`, so that file
-is left out; every other module imports only what it reads.
+is left out of the import check; every other module imports only what it
+reads.  Every module raises a typed error where a check fails, because
+`python -O` strips `assert` and an `AssertionError` escapes the CLI's
+exit-code contract.
 """
 
 import ast
@@ -12,7 +16,8 @@ import pytest
 import commacat
 
 PACKAGE = pathlib.Path(commacat.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +43,27 @@ def test_every_imported_name_is_referenced(path):
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom re import match, sub\nsub\n") == [
         "match (line 2)", "os (line 1)"]
+
+
+def assertion_checks(source: str) -> list:
+    """Lines of every assert statement and every raise of AssertionError."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_check_is_an_assertion(path):
+    assert assertion_checks(path.read_text()) == []
+
+
+def test_the_check_sees_an_assertion():
+    assert assertion_checks(
+        "assert x\nraise AssertionError('no')\nraise AssertionError\n"
+        "raise ValueError('no')\n") == [1, 2, 3]
