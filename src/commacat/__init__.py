@@ -17,7 +17,6 @@ from .comma import (
 )
 from .core import (
     CategoryInstance,
-    Filtration,
     Mor,
     ShortExactSequence,
     Subobject,
@@ -88,7 +87,6 @@ __all__ = [
     "CoCommaObject",
     "CommaCategory",
     "CommaObject",
-    "Filtration",
     "FinVect",
     "FunctorSpec",
     "GaussianRational",

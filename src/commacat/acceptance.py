@@ -208,10 +208,9 @@ def hn_restriction(seed: int = 0) -> CriterionResult:
             x = cat.split(a, cat.right.zero_object())
             inside = hn_filtration(cat, z, x)
             direct = hn_filtration(component_cat, z_a, a)
-            got_steps = tuple(cat.class_vector(s.obj)
-                              for s in inside.filtration.steps)
+            got_steps = tuple(cat.class_vector(s.obj) for s in inside.steps)
             want_steps = tuple(component_cat.class_vector(s.obj) + (0,) * pad
-                               for s in direct.filtration.steps)
+                               for s in direct.steps)
             if got_steps != want_steps:
                 failures.append(
                     f"{component_cat.describe_object(a)}: embedded steps "

@@ -60,18 +60,6 @@ class ShortExactSequence:
 
 
 @dataclass(frozen=True)
-class Filtration:
-    """An ascending chain of subobjects of one ambient object.
-
-    steps[0] is the zero subobject and steps[-1] is the whole object; the
-    factors are the successive quotients steps[i] / steps[i-1].
-    """
-
-    steps: tuple
-    factors: tuple
-
-
-@dataclass(frozen=True)
 class CategoryReport:
     checks: int
     violations: tuple
@@ -89,6 +77,10 @@ class CategoryInstance(abc.ABC):
     """
 
     field: int
+
+    # whether the abelian structure is guaranteed; the glued categories
+    # override this from the exactness flags of their legs
+    abelian_capable = True
 
     # -- objects ---------------------------------------------------------
 

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CategoryInstance, Filtration
+from .core import CategoryInstance
 from .errors import CertificateFailure
-from .stability import SubobjectLattice
+from .stability import SubobjectLattice, lattice_for
 
 
 def is_simple(cat: CategoryInstance, x) -> bool:
@@ -27,7 +27,10 @@ def is_simple(cat: CategoryInstance, x) -> bool:
 
 @dataclass(frozen=True)
 class JHFiltration:
-    filtration: Filtration
+    """steps runs from the zero subobject to x; factor i is the simple
+    steps[i + 1] / steps[i], of class factor_classes[i]."""
+
+    steps: tuple
     factor_classes: tuple
 
     @property
@@ -48,14 +51,11 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
     among those, seeded.  Factors are re-verified simple.
     """
     if cat.is_zero_object(x):
-        return JHFiltration(
-            Filtration((), ()), ())
+        return JHFiltration((), ())
     if policy not in ("canonical", "random"):
         raise ValueError("policy must be 'canonical' or 'random'")
     rng = random.Random(seed)
-    lat = lattice if lattice is not None else SubobjectLattice(cat, x)
-    if lat.cat is not cat or lat.x != x:
-        raise ValueError("lattice was built for a different object")
+    lat = lattice_for(cat, x, lattice)
     chain = [lat.zero_index]
     while chain[-1] != lat.whole_index:
         cur = chain[-1]
@@ -65,16 +65,11 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
         options = [t for t in above if sum(lat.diff(t, cur)) == best_jump]
         pick = options[0] if policy == "canonical" else rng.choice(options)
         chain.append(pick)
-    factors = []
-    classes = []
-    for prev, cur in zip(chain, chain[1:]):
-        fobj = lat.factor_object(prev, cur)
-        if not is_simple(cat, fobj):
-            raise CertificateFailure("composition factor is not simple")
-        factors.append(fobj)
-        classes.append(lat.diff(cur, prev))
-    filt = Filtration(tuple(lat.subs[i] for i in chain), tuple(factors))
-    return JHFiltration(filt, tuple(classes))
+    pairs = list(zip(chain, chain[1:]))
+    if any(lat.factor_proper_classes(prev, cur) for prev, cur in pairs):
+        raise CertificateFailure("composition factor is not simple")
+    return JHFiltration(tuple(lat.subs[i] for i in chain),
+                        tuple(lat.diff(cur, prev) for prev, cur in pairs))
 
 
 def length(cat: CategoryInstance, x,

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import (
-    CategoryInstance,
-    Filtration,
-    factor_between,
-    subobject_leq,
-)
+from .core import CategoryInstance, factor_between, subobject_leq
 from .errors import CertificateFailure, ExactnessViolation
 from .linalg import BudgetExceeded
 
@@ -170,13 +165,13 @@ def restrict_comma_stability(z: StabilityFunction):
 
 
 class SubobjectLattice:
-    """The full subobject poset of one ambient object with keys, classes,
-    the inclusion relation, and factor data memoized.
+    """The full subobject poset of one ambient object with keys, classes
+    and the memoized inclusion relation.
 
     The keys are the ones enumeration carried on each subobject, and the
     order is core.subobject_leq, which compares them.  Filtration searches
-    walk this poset heavily; recomputing quotients per step would repeat
-    identical small solves many times.
+    walk this poset heavily and read the subobjects of each factor off an
+    interval of it (factor_proper_classes) instead of building the factor.
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -202,7 +197,6 @@ class SubobjectLattice:
                 "the category is not abelian on this object")
         self.whole_index = self.classes.index(whole)
         self._leq = {}
-        self._factors = {}
 
     def leq(self, i: int, j: int) -> bool:
         if i == j:
@@ -232,17 +226,28 @@ class SubobjectLattice:
     def diff(self, j: int, i: int) -> tuple:
         return tuple(p - q for p, q in zip(self.classes[j], self.classes[i]))
 
+    def factor_proper_classes(self, i: int, j: int) -> list:
+        """The proper classes of the factor subs[j] / subs[i], i < j.
+
+        In an abelian category the subobjects of the factor are the t with
+        subs[i] <= t <= subs[j], and the class of t / subs[i] is the class
+        difference.  A category not known to be abelian builds the factor
+        by cokernel and enumerates its own lattice instead.
+        """
+        if not self.cat.abelian_capable:
+            return SubobjectLattice(self.cat,
+                                    self.factor_object(i, j)).proper_classes()
+        return [self.diff(t, i) for t in self.strictly_above(i)
+                if t != j and self.leq(t, j)]
+
     def factor_object(self, i: int, j: int):
         """The quotient subs[j] / subs[i] for a strict inclusion i < j."""
-        if (i, j) not in self._factors:
-            if i == self.zero_index:
-                self._factors[(i, j)] = self.subs[j].obj
-            else:
-                step = factor_between(self.cat, self.subs[i], self.subs[j])
-                if step is None:
-                    raise CertificateFailure("factor requested outside the order")
-                self._factors[(i, j)] = step[1]
-        return self._factors[(i, j)]
+        if i == self.zero_index:
+            return self.subs[j].obj
+        step = factor_between(self.cat, self.subs[i], self.subs[j])
+        if step is None:
+            raise CertificateFailure("factor requested outside the order")
+        return step[1]
 
 
 # -- semistability and filtrations ---------------------------------------
@@ -264,9 +269,22 @@ def is_stable(cat: CategoryInstance, z: StabilityFunction, x) -> bool:
                for c in SubobjectLattice(cat, x).proper_classes())
 
 
+def lattice_for(cat: CategoryInstance, x,
+                lattice: Optional[SubobjectLattice]) -> SubobjectLattice:
+    """The given lattice, checked to be the one of x in cat, or a new one."""
+    if lattice is None:
+        return SubobjectLattice(cat, x)
+    if lattice.cat is not cat or lattice.x != x:
+        raise ValueError("lattice was built for a different object")
+    return lattice
+
+
 @dataclass(frozen=True)
 class HNFiltration:
-    filtration: Filtration
+    """steps runs from the zero subobject to x; factor i is
+    steps[i + 1] / steps[i], semistable of slope factor_slopes[i]."""
+
+    steps: tuple
     factor_slopes: tuple
     factor_classes: tuple
 
@@ -283,11 +301,12 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
     slope of the new factor, then the factor's total class size.  That
     maximizer is unique by standard slope theory; uniqueness is checked,
     and the finished filtration is re-verified: every factor semistable,
-    slopes strictly decreasing.
+    its subobjects read off the lattice interval, and slopes strictly
+    decreasing.
     """
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no filtration")
-    lat = lattice if lattice is not None else SubobjectLattice(cat, x)
+    lat = lattice_for(cat, x, lattice)
     chain = [lat.zero_index]
     while chain[-1] != lat.whole_index:
         cur = chain[-1]
@@ -310,22 +329,19 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
         chain.append(best)
     factor_slopes = []
     factor_classes = []
-    factors = []
     for prev, cur in zip(chain, chain[1:]):
-        fobj = lat.factor_object(prev, cur)
         diff = lat.diff(cur, prev)
-        if cat.class_vector(fobj) != diff:
-            raise CertificateFailure("factor class disagrees with the chain")
-        if not is_semistable(cat, z, fobj):
+        mu = slope(z, diff)
+        if not all(slope(z, c) <= mu
+                   for c in lat.factor_proper_classes(prev, cur)):
             raise CertificateFailure("greedy factor is not semistable")
-        factors.append(fobj)
-        factor_slopes.append(slope(z, diff))
+        factor_slopes.append(mu)
         factor_classes.append(diff)
     for s1, s2 in zip(factor_slopes, factor_slopes[1:]):
         if not s2 < s1:
             raise CertificateFailure("factor slopes are not strictly decreasing")
-    filt = Filtration(tuple(lat.subs[i] for i in chain), tuple(factors))
-    return HNFiltration(filt, tuple(factor_slopes), tuple(factor_classes))
+    return HNFiltration(tuple(lat.subs[i] for i in chain),
+                        tuple(factor_slopes), tuple(factor_classes))
 
 
 def hn_type(cat: CategoryInstance, z: StabilityFunction, x,

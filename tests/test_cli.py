@@ -376,9 +376,14 @@ def test_exit_1_with_report_on_a_refused_capability(tmp_path, command):
 def test_exit_1_with_report_on_a_failed_certificate(tmp_path, monkeypatch,
                                                    capsys):
     """A filtration check that fails raises CertificateFailure; cli.main
-    exits 1 and writes a report carrying it instead of a traceback."""
+    exits 1 and writes a report carrying it instead of a traceback.
+
+    The patched interval read gives every factor a proper subobject of
+    class (1, 0), of infinite slope, so the second HN factor of zero_map,
+    of slope 0, is no longer semistable."""
     from commacat import cli, stability
-    monkeypatch.setattr(stability, "is_semistable", lambda *args: False)
+    monkeypatch.setattr(stability.SubobjectLattice, "factor_proper_classes",
+                        lambda self, i, j: [(1, 0)])
     out = tmp_path / "r.json"
     assert cli.main(["hn", "Z", "zero_map", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("construction failed:")

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module, and no
-package check is an assert.
+"""Every name a package module imports is used in that module, the
+package exports exactly what `__init__.py` imports, and no package check is
+an assert.
 
 The package re-exports its public names from `__init__.py`, so that file
-is left out of the import check; every other module imports only what it
-reads.  Every module raises a typed error where a check fails, because
-`python -O` strips `assert` and an `AssertionError` escapes the CLI's
-exit-code contract.
+is left out of the import check, and its imports are held to `__all__`
+instead; every other module imports only what it reads.  Every module
+raises a typed error where a check fails, because `python -O` strips
+`assert` and an `AssertionError` escapes the CLI's exit-code contract.
 """
 
 import ast
@@ -20,16 +21,18 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
+def imported_names(tree: ast.AST) -> list:
+    """(name, line) for every name an import statement binds, in order."""
+    return [(alias.asname or alias.name.split(".")[0], node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+    imported = dict(imported_names(tree))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
@@ -43,6 +46,15 @@ def test_every_imported_name_is_referenced(path):
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom re import match, sub\nsub\n") == [
         "match (line 2)", "os (line 1)"]
+
+
+def test_the_package_exports_what_it_imports():
+    exported = commacat.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert hasattr(commacat, name), name
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert sorted(name for name, _ in imported_names(init)) == sorted(exported)
 
 
 def assertion_checks(source: str) -> list:

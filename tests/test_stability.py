@@ -11,6 +11,7 @@ from commacat.comma import CommaCategory
 from commacat.core import Mor, subobject_ses
 from commacat.functors import hom_from, identity_functor
 from commacat.instances import ARROW_QUIVER, FinVect, Rep, ToyGeometryConfig
+from commacat.jordanholder import jh_filtration
 from commacat.linalg import Matrix
 from commacat.stability import (
     GaussianRational,
@@ -241,6 +242,19 @@ def test_hn_rejects_the_zero_object():
 def test_lattice_reuse_gives_identical_answers():
     lat = SubobjectLattice(ARROW, ZERO_MAP)
     assert hn_type(ARROW, Z, ZERO_MAP, lat) == hn_type(ARROW, Z, ZERO_MAP)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, lat: hn_filtration(ARROW, Z, x, lattice=lat),
+    lambda x, lat: jh_filtration(ARROW, x, lattice=lat),
+], ids=["hn", "jh"])
+def test_a_lattice_of_another_object_is_refused(build):
+    """Read through a lattice of ZERO_MAP, (k^0, k^1) would get the
+    factors of ZERO_MAP; both filtrations refuse the foreign lattice."""
+    x = triple(0, 1, [[]])
+    with pytest.raises(ValueError, match="different object"):
+        build(x, SubobjectLattice(ARROW, ZERO_MAP))
+    assert build(x, SubobjectLattice(ARROW, x)).factor_classes == ((0, 1),)
 
 
 def test_seesaw_inequality_over_subobject_sequences():

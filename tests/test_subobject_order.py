@@ -121,6 +121,36 @@ def test_lattice_whole_is_the_identity_subobject(name, p):
     assert objects
 
 
+@pytest.mark.parametrize("p", sorted(MAX_DIM))
+@pytest.mark.parametrize("name", EXACT + CONFIRMED)
+def test_factor_intervals_match_the_factor_lattices(name, p):
+    """The proper classes read off the interval [i, j] equal those of the
+    lattice of the factor object subs[j] / subs[i], for every strict pair.
+    Only a context that is not abelian_capable may fail to build the
+    factor, and there the interval read fails the same way."""
+    cat = _contexts(p)[name]
+    pairs = 0
+    for x in cat.enumerate_objects(MAX_DIM[p]):
+        try:
+            lat = SubobjectLattice(cat, x)
+        except ExactnessViolation:
+            assert name in CONFIRMED
+            continue
+        for i in range(len(lat.subs)):
+            for j in lat.strictly_above(i):
+                try:
+                    want = SubobjectLattice(
+                        cat, lat.factor_object(i, j)).proper_classes()
+                except ExactnessViolation:
+                    assert not cat.abelian_capable
+                    with pytest.raises(ExactnessViolation):
+                        lat.factor_proper_classes(i, j)
+                    continue
+                assert sorted(lat.factor_proper_classes(i, j)) == sorted(want)
+                pairs += 1
+    assert pairs
+
+
 def test_lattice_without_zero_subobject_raises():
     vect = FinVect(2)
     cat = CommaCategory(one_plus(vect), identity_functor(vect),
@@ -163,3 +193,27 @@ def test_arrow_functors_raise_when_solve_fails(monkeypatch, make, solver):
     monkeypatch.setattr(functors, solver, lambda *args: None)
     with pytest.raises(ExactnessViolation):
         apply_on_morphism(f, rep.identity(_arrow_object(rep)))
+
+
+def test_interval_read_needs_an_abelian_capable_context():
+    """An exact key order does not make the interval read sound.  This
+    context has one but is opened by assume_abelian: the factor of x by its
+    subobject (rep(0,1), k^0) has no unique cokernel, while the interval
+    [(rep(0,1), k^0), x] still lists two classes.  factor_proper_classes
+    must raise there rather than return them."""
+    rep = Rep(ARROW_QUIVER, 2)
+    vect = FinVect(2)
+    cat = CommaCategory(arrow_kernel(rep, 0, vect), identity_functor(vect),
+                        assume_abelian=True)
+    assert cat.subobject_key_order_exact and not cat.abelian_capable
+    a = _arrow_object(rep)
+    x = cat.obj(a, 1, vect.zero_morphism(0, 1))
+    lat = SubobjectLattice(cat, x)
+    i = lat.classes.index((0, 1, 0))
+    j = lat.whole_index
+    assert [lat.diff(t, i) for t in lat.strictly_above(i)
+            if t != j and lat.leq(t, j)] == [(0, 0, 1), (1, 0, 0)]
+    with pytest.raises(ExactnessViolation, match="non-trivial solution"):
+        lat.factor_object(i, j)
+    with pytest.raises(ExactnessViolation, match="non-trivial solution"):
+        lat.factor_proper_classes(i, j)
