@@ -34,7 +34,7 @@ from .core import (
 from .counterexample import run_counterexample
 from .errors import CertificateFailure
 from .functors import hom_from, hom_into, identity_functor, tensor
-from .instances import FinVect, Quiver, Rep
+from .instances import ARROW_QUIVER, FinVect, Rep
 from .jordanholder import jh_filtration, length
 from .kgroup import cls, decompose, verify_additivity
 from .linalg import Matrix, rank
@@ -49,6 +49,7 @@ from .stability import (
     make_comma_stability,
     restrict_comma_stability,
 )
+from .workspace import bundled_workspace_path, load_workspace
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def _finish(key, t0, failures, details, budget=0.0) -> CriterionResult:
 
 
 def _arrow_quiver_rep(p: int = 2) -> Rep:
-    return Rep(Quiver(2, ((0, 1),)), p)
+    return Rep(ARROW_QUIVER, p)
 
 
 def _arrow_context(p: int = 2) -> CommaCategory:
@@ -376,12 +377,7 @@ def cocomma_suite(seed: int = 0) -> CriterionResult:
 
 def bundled_toy_system():
     """The packaged two-step system used by the scan criterion."""
-    from importlib import resources
-
-    from .workspace import load_workspace
-    with resources.as_file(resources.files("commacat")
-                           .joinpath("workspaces/coherent_systems.json")) as path:
-        ws = load_workspace(str(path))
+    ws = load_workspace(bundled_workspace_path("coherent_systems"))
     ctx_name = ws.scans["default"]["context"]
     obj_name = ws.scans["default"]["object"]
     cat = ws.contexts[ctx_name]

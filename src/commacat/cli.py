@@ -21,7 +21,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 from . import acceptance
 from .comma import CommaCategory, verify_comma_abelian
@@ -51,6 +50,7 @@ from .stability import (
 )
 from .workspace import (
     Workspace,
+    bundled_workspace_path,
     format_rational,
     load_workspace,
     serialize_morphism,
@@ -61,15 +61,7 @@ REPORT_SCHEMA = "commacat-report/1"
 
 
 def default_workspace_path() -> str:
-    with resources.as_file(resources.files("commacat")
-                           .joinpath("workspaces/arrow.json")) as path:
-        return str(path)
-
-
-def bundled_workspace_path(name: str) -> str:
-    with resources.as_file(resources.files("commacat")
-                           .joinpath(f"workspaces/{name}.json")) as path:
-        return str(path)
+    return bundled_workspace_path("arrow")
 
 
 # -- command implementations ---------------------------------------------

@@ -2,12 +2,12 @@
 
 An object is a triple (a, b, alpha) with alpha a morphism F(a) -> G(b) in
 the shared target; a morphism is a pair of component morphisms whose
-structure square commutes, checked at construction time.  When the left
-functor is right exact and the right functor is left exact the construction
-is abelian, and kernels, cokernels, and biproducts are computed
-componentwise with the connecting structure map recovered by an exact
-linear solve.  A failed or ambiguous solve raises instead of patching the
-result: that is the mechanism by which missing exactness surfaces.
+structure square commutes, which the public constructor mor checks.  When
+the left functor is right exact and the right functor is left exact the
+construction is abelian, and kernels, cokernels, and biproducts are
+computed componentwise with the connecting structure map recovered by an
+exact linear solve.  A failed or ambiguous solve raises instead of patching
+the result: that is the mechanism by which missing exactness surfaces.
 
 The same code serves the reversed construction of cocomma.py, whose left
 components run backwards: it is this construction with the left component
@@ -40,7 +40,7 @@ from .core import (
     try_through_mono,
     verify_category,
 )
-from .errors import CapabilityError, ForeignMorphism
+from .errors import CapabilityError, ExactnessViolation, ForeignMorphism
 from .functors import FunctorSpec, apply_on_morphism, apply_on_object
 from .instances import DEFAULT_BUDGET, Budget
 from .linalg import kernel_basis
@@ -231,15 +231,12 @@ class CommaCategory(CategoryInstance):
             raise ValueError("left component has wrong endpoints")
         if (gb.source, gb.target) != (x.b, y.b):
             raise ValueError("right component has wrong endpoints")
-        if not self._square_commutes(x, y, fa, gb):
-            raise ValueError("structure square does not commute")
-        return Mor(x, y, (fa, gb))
-
-    def _square_commutes(self, x, y, fa: Mor, gb: Mor) -> bool:
         c = self.cone
         p, q = self._square_ends(x, y)
-        return (c.compose(p.alpha, apply_on_morphism(self.left_functor, fa))
-                == c.compose(apply_on_morphism(self.right_functor, gb), q.alpha))
+        if (c.compose(p.alpha, apply_on_morphism(self.left_functor, fa))
+                != c.compose(apply_on_morphism(self.right_functor, gb), q.alpha)):
+            raise ValueError("structure square does not commute")
+        return Mor(x, y, (fa, gb))
 
     def _structure_solver(self, x, y, ff: Mor, exact: bool = True):
         """Solver for the structure map of whichever of x, y is None, for a
@@ -259,14 +256,6 @@ class CommaCategory(CategoryInstance):
         side = c.compose(p.alpha, ff)
         through = solve_through_mono if exact else try_through_mono
         return lambda gg: through(c, gg, side)
-
-    def _factored(self, x, y, fa, gb):
-        """The morphism (fa, gb) from unique component factorizations, or
-        None when one is missing or the pair breaks the square.  Any
-        factorization restricts to these components, so None is exact."""
-        if fa is None or gb is None or not self._square_commutes(x, y, fa, gb):
-            return None
-        return Mor(x, y, (fa, gb))
 
     # objects; the opposite of the left category has the same ones
 
@@ -370,21 +359,22 @@ class CommaCategory(CategoryInstance):
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved once per component.
 
-        Needs additive legs and both components of mono mono (in the left
-        view: epi in the left category when left components run
-        backwards), so that each component factorization is unique; one
-        square check then decides.  Otherwise the hom-space solve decides.
+        Needs the abelian flags, additive legs and both components of mono
+        mono (in the left view: epi in the left category when left
+        components run backwards): each component factorization is then
+        unique, and its square follows by cancellation (see README).
+        Otherwise the hom-space solve decides.
         """
         self._own(mono)
         self._own(m)
         lv = self._left_view
-        if not (self.additive and lv.is_mono(mono.data[0])
-                and self.right.is_mono(mono.data[1])):
+        if not (self.abelian_capable and self.additive
+                and lv.is_mono(mono.data[0]) and self.right.is_mono(mono.data[1])):
             return super().factor_through_mono(mono, m)
         fa = lv.factor_through_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_mono(mono.data[1], m.data[1])
-        return self._factored(m.source, mono.source, fa, gb)
+        return None if gb is None else Mor(m.source, mono.source, (fa, gb))
 
     def factor_through_epi(self, epi: Mor, m: Mor):
         """The u with u o epi = m, solved once per component; the mirror of
@@ -392,13 +382,13 @@ class CommaCategory(CategoryInstance):
         self._own(epi)
         self._own(m)
         lv = self._left_view
-        if not (self.additive and lv.is_epi(epi.data[0])
-                and self.right.is_epi(epi.data[1])):
+        if not (self.abelian_capable and self.additive
+                and lv.is_epi(epi.data[0]) and self.right.is_epi(epi.data[1])):
             return super().factor_through_epi(epi, m)
         fa = lv.factor_through_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_epi(epi.data[1], m.data[1])
-        return self._factored(epi.target, m.target, fa, gb)
+        return None if gb is None else Mor(epi.target, m.target, (fa, gb))
 
     # abelian structure
 
@@ -411,7 +401,7 @@ class CommaCategory(CategoryInstance):
             None, x, apply_on_morphism(self.left_functor, ka))
         beta = solve(apply_on_morphism(self.right_functor, kb))
         kobj = self._object_class(ka_obj, kb_obj, beta)
-        return kobj, self.mor(kobj, x, ka, kb)
+        return kobj, Mor(kobj, x, (ka, kb))
 
     def cokernel(self, m: Mor):
         self._require_abelian()
@@ -422,7 +412,7 @@ class CommaCategory(CategoryInstance):
             y, None, apply_on_morphism(self.left_functor, ca))
         gamma = solve(apply_on_morphism(self.right_functor, cb))
         cobj = self._object_class(ca_obj, cb_obj, gamma)
-        return cobj, self.mor(y, cobj, ca, cb)
+        return cobj, Mor(y, cobj, (ca, cb))
 
     def biproduct(self, x, y):
         self._require_abelian()
@@ -441,8 +431,11 @@ class CommaCategory(CategoryInstance):
         beta = solve(c, apply_on_object(fl, sa), apply_on_object(gl, sb),
                      equations)
         s = self._object_class(sa, sb, beta)
-        return s, (self.mor(x, s, ia1, ib1), self.mor(y, s, ia2, ib2)), \
-            (self.mor(s, x, pa1, pb1), self.mor(s, y, pa2, pb2))
+        try:  # the projection squares need truly additive legs
+            return s, (self.mor(x, s, ia1, ib1), self.mor(y, s, ia2, ib2)), \
+                (self.mor(s, x, pa1, pb1), self.mor(s, y, pa2, pb2))
+        except ValueError as exc:
+            raise ExactnessViolation(f"biproduct: {exc}") from exc
 
     def enumerate_subobjects(self, x) -> tuple:
         self._require_abelian()
@@ -505,12 +498,12 @@ def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
     basis = []
     for i in range(null.dim):
         coords = null.basis.row(i)
-        fa = _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)])
-        gb = _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):])
-        # RREF coordinates times the block-diagonal RREF component bases
-        # give RREF rows, so these flats are the canonical basis as they are
-        basis.append(cat.mor_from_flat(
-            x, y, lv.mor_flat(fa) + b_cat.mor_flat(gb)))
+        # each kernel vector solves the square; RREF coordinates times the
+        # block-diagonal RREF component bases give RREF rows, so these
+        # pairs are the canonical basis as they are
+        basis.append(Mor(x, y, (
+            _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)]),
+            _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):]))))
     return tuple(basis)
 
 
@@ -534,7 +527,7 @@ def glued_subobjects(cat: CommaCategory, x) -> tuple:
             if alpha_s is None:
                 continue
             sobj = cat._object_class(sub_a.obj, sub_b.obj, alpha_s)
-            out.append(Subobject(sobj, cat.mor(sobj, x, sub_a.mono, sub_b.mono),
+            out.append(Subobject(sobj, Mor(sobj, x, (sub_a.mono, sub_b.mono)),
                                  (sub_a.key, sub_b.key)))
     return tuple(out)
 

@@ -160,7 +160,8 @@ class CategoryInstance(abc.ABC):
         may build the result without checking it, because a combination of
         morphisms satisfies every linear condition they satisfy.  Only the
         linear operations (add, negate, scale, and combinations of hom-basis
-        elements) call this; the default checks like mor_from_flat.
+        elements) and solutions of that linear condition (the Rep hom basis)
+        call this; the default checks like mor_from_flat.
         """
         return self.mor_from_flat(x, y, flat)
 

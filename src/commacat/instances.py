@@ -423,7 +423,7 @@ class Rep(CategoryInstance):
         else:
             constraint = Matrix.zero(0, total, p)
         null = kernel_basis(constraint)
-        return tuple(self.mor_from_flat(x, y, null.basis.row(i))
+        return tuple(self.span_from_flat(x, y, null.basis.row(i))
                      for i in range(null.dim))
 
     def mor_flat(self, m: Mor) -> tuple:
@@ -468,7 +468,7 @@ class Rep(CategoryInstance):
         parts = [solve(a, b) for a, b in zip(mono.data, m.data)]
         if any(u is None for u in parts):
             return None
-        return self.mor(m.source, mono.source, parts)
+        return Mor(m.source, mono.source, tuple(parts))
 
     def factor_through_epi(self, epi: Mor, m: Mor):
         """The u with u o epi = m, solved vertex by vertex.
@@ -485,7 +485,7 @@ class Rep(CategoryInstance):
         parts = [solve_left(a, b) for a, b in zip(epi.data, m.data)]
         if any(u is None for u in parts):
             return None
-        return self.mor(epi.target, m.target, parts)
+        return Mor(epi.target, m.target, tuple(parts))
 
     # abelian structure
 
@@ -509,7 +509,7 @@ class Rep(CategoryInstance):
         if kobj is None:
             raise ExactnessViolation(
                 "an arrow does not carry the kernel into the kernel")
-        return kobj, self.mor(kobj, x, incls)
+        return kobj, Mor(kobj, x, tuple(incls))
 
     def cokernel(self, m: Mor):
         self._own(m)
@@ -528,7 +528,7 @@ class Rep(CategoryInstance):
                     f"arrow {a} does not descend to the cokernel")
             cmaps.append(induced)
         cobj = RepObject(tuple(cdims), tuple(cmaps))
-        return cobj, self.mor(y, cobj, projs)
+        return cobj, Mor(y, cobj, tuple(projs))
 
     def biproduct(self, x, y):
         p = self.field
@@ -536,14 +536,14 @@ class Rep(CategoryInstance):
         maps = tuple(block_diag([x.maps[a], y.maps[a]])
                      for a in range(len(self.quiver.arrows)))
         s = RepObject(dims, maps)
-        i1 = self.mor(x, s, [vstack([Matrix.identity(dx, p), Matrix.zero(dy, dx, p)])
-                             for dx, dy in zip(x.dims, y.dims)])
-        i2 = self.mor(y, s, [vstack([Matrix.zero(dx, dy, p), Matrix.identity(dy, p)])
-                             for dx, dy in zip(x.dims, y.dims)])
-        p1 = self.mor(s, x, [hstack([Matrix.identity(dx, p), Matrix.zero(dx, dy, p)])
-                             for dx, dy in zip(x.dims, y.dims)])
-        p2 = self.mor(s, y, [hstack([Matrix.zero(dy, dx, p), Matrix.identity(dy, p)])
-                             for dx, dy in zip(x.dims, y.dims)])
+        i1 = Mor(x, s, tuple(vstack([Matrix.identity(dx, p), Matrix.zero(dy, dx, p)])
+                             for dx, dy in zip(x.dims, y.dims)))
+        i2 = Mor(y, s, tuple(vstack([Matrix.zero(dx, dy, p), Matrix.identity(dy, p)])
+                             for dx, dy in zip(x.dims, y.dims)))
+        p1 = Mor(s, x, tuple(hstack([Matrix.identity(dx, p), Matrix.zero(dx, dy, p)])
+                             for dx, dy in zip(x.dims, y.dims)))
+        p2 = Mor(s, y, tuple(hstack([Matrix.zero(dy, dx, p), Matrix.identity(dy, p)])
+                             for dx, dy in zip(x.dims, y.dims)))
         return s, (i1, i2), (p1, p2)
 
     def enumerate_subobjects(self, x) -> tuple:
@@ -555,7 +555,7 @@ class Rep(CategoryInstance):
             incls = [s.basis.transpose() for s in combo]
             sobj = self._restricted(x, incls)
             if sobj is not None:
-                out.append(Subobject(sobj, self.mor(sobj, x, incls), combo))
+                out.append(Subobject(sobj, Mor(sobj, x, tuple(incls)), combo))
         return tuple(out)
 
     def subobject_key(self, mono: Mor):

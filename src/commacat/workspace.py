@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import resources
 from typing import Any, Optional
 
 from .cocomma import CoCommaCategory
@@ -269,6 +270,13 @@ _CONTEXT_KINDS = {"comma": CommaCategory, "cocomma": CoCommaCategory}
 # stability kind -> (the Workspace table it fills, its builder)
 _STABILITY_KINDS = {"table": ("stability", _build_stability),
                     "geometry": ("geometries", _build_geometry)}
+
+
+def bundled_workspace_path(name: str) -> str:
+    """The path of the workspace file shipped with the package as name."""
+    with resources.as_file(resources.files("commacat")
+                           .joinpath(f"workspaces/{name}.json")) as path:
+        return str(path)
 
 
 def load_workspace(path: str, budget_override: Optional[int] = None,

@@ -444,6 +444,43 @@ def test_validate_records_a_context_whose_audit_raises(tmp_path):
     assert doc["results"]["failures"] >= 1
 
 
+@pytest.mark.parametrize("flags, context", [
+    ({"additive": True, "right_exact": True},
+     {"kind": "comma", "left": "shift", "right": "carrier"}),
+    ({"additive": True, "left_exact": True},
+     {"kind": "comma", "left": "carrier", "right": "shift"}),
+], ids=["left-leg", "right-leg"])
+def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
+    """one_plus declared additive and exact opens the abelian interface on
+    a square that is not linear.  The audit then meets a construction the
+    data refuses (a connecting solve without a solution, or a biproduct
+    projection whose square fails) as an ExactnessViolation: validate
+    records it as a context error next to the functor's flag mismatches,
+    exits 1 and writes its report."""
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"vect": {"kind": "finvect"}},
+        "functors": {
+            "shift": {"kind": "one_plus", "category": "vect", "declare": flags},
+            "carrier": {"kind": "identity", "category": "vect"},
+        },
+        "contexts": {"over": context},
+    }
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    proc = run_cli("validate", "--spec", str(path), "--out", str(out),
+                   check_code=1)
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["exit_code"] == 1
+    assert doc["results"]["contexts"]["over"]["error"]["type"] == \
+        "ExactnessViolation"
+    mismatches = doc["results"]["functors"]["shift"]["flag_mismatches"]
+    assert any("declared additive" in m for m in mismatches), mismatches
+
+
 def bundled(name):
     from commacat.cli import bundled_workspace_path
     return bundled_workspace_path(name)

@@ -200,9 +200,11 @@ def _components_factor(cat, arrow, m, side: str) -> bool:
 
 @pytest.mark.parametrize("name", sorted(ASSUMED))
 def test_square_decides_where_a_leg_loses_monos_or_epis(name):
-    """Every mono and epi pair up to total dimension 2, exhaustively: the
-    direct factorization matches the hom-space solve, including pairs whose
-    components factor but whose square fails."""
+    """Every mono and epi pair up to total dimension 2, exhaustively.  An
+    assume_abelian context without the flags that cancel the square
+    factors by the hom-space solve, so the factorization is that solve,
+    and it finds no morphism for pairs whose components factor but whose
+    square fails."""
     cat, side = ASSUMED[name]
     objs = list(cat.enumerate_objects(2))
     decided_by_square = Counter()
@@ -240,22 +242,54 @@ def _rebuilt(cat, m):
     return cat.mor_from_flat(m.source, m.target, cat.mor_flat(m))
 
 
+def _factorizations(cat, rng, max_dim) -> list:
+    """The morphisms that factoring one sampled mono pair and one sampled
+    epi pair returns; a None or a raise returns none."""
+    mono, m = _mono_pair(cat, rng, max_dim)
+    epi, n = _epi_pair(cat, rng, max_dim)
+    made = [_outcome(lambda: cat.factor_through_mono(mono, m)),
+            _outcome(lambda: cat.factor_through_epi(epi, n))]
+    return [u for u in made if _kind(u) == "morphism"]
+
+
 @pytest.mark.parametrize("name, p", CASES)
 def test_trusted_morphisms_pass_the_checked_constructor(name, p):
+    """Linear combinations, kernel and cokernel arrows, induced maps,
+    hom-basis elements, subobject monos, biproduct arrows and
+    factorizations through a mono or an epi, on sampled objects; and the
+    subobject monos of every object up to MAX_DIM, which in the
+    identity/identity context are the objects of the lattice benchmark."""
     cat = CONTEXTS[p][name]
     rng = random.Random(p)
-    built = 0
+    built = Counter()
     for _ in range(12):
         x = cat.sample_object(rng, MAX_DIM[p])
         y = cat.sample_object(rng, MAX_DIM[p])
         f = random_hom(cat, rng, x, y)
         g = random_hom(cat, rng, x, y)
-        made = [f, g, cat.add(f, g), cat.negate(f), cat.scale(p - 1, g),
-                cat.kernel(f)[1], cat.cokernel(f)[1], *induced_morphism(cat, f)]
-        for m in made:
-            assert _rebuilt(cat, m) == m
-            built += 1
-    assert built == 12 * 10
+        _, injections, projections = cat.biproduct(x, y)
+        made = {
+            "linear": [f, g, cat.add(f, g), cat.negate(f), cat.scale(p - 1, g)],
+            "universal": [cat.kernel(f)[1], cat.cokernel(f)[1],
+                          *induced_morphism(cat, f)],
+            "hom-basis": cat.hom_basis(x, y),
+            "subobject": [s.mono for z in (x, y)
+                          for s in cat.enumerate_subobjects(z)],
+            "biproduct": [*injections, *projections],
+            "factorization": _factorizations(cat, rng, MAX_DIM[p]),
+        }
+        for kind, ms in made.items():
+            for m in ms:
+                assert _rebuilt(cat, m) == m, kind
+                built[kind] += 1
+    for x in cat.enumerate_objects(MAX_DIM[p]):
+        for s in cat.enumerate_subobjects(x):
+            assert _rebuilt(cat, s.mono) == s.mono
+            built["enumerated"] += 1
+    assert built["linear"] == 12 * 5 and built["universal"] == 12 * 5
+    assert built["biproduct"] == 12 * 4
+    assert built["hom-basis"] and built["subobject"] and built["enumerated"]
+    assert built["factorization"], built
 
 
 def test_combinations_stay_checked_over_a_non_additive_leg():
