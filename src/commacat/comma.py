@@ -362,8 +362,8 @@ class CommaCategory(CategoryInstance):
         Needs the abelian flags, additive legs and both components of mono
         mono (in the left view: epi in the left category when left
         components run backwards): each component factorization is then
-        unique, and its square follows by cancellation (see README).
-        Otherwise the hom-space solve decides.
+        unique, so one check of its square decides (true flags make it hold
+        by cancellation; see README).  Otherwise the hom-space solve decides.
         """
         self._own(mono)
         self._own(m)
@@ -374,7 +374,11 @@ class CommaCategory(CategoryInstance):
         fa = lv.factor_through_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_mono(mono.data[1], m.data[1])
-        return None if gb is None else Mor(m.source, mono.source, (fa, gb))
+        try:  # a leg declared exact falsely can break the square
+            return None if gb is None else \
+                self.mor(m.source, mono.source, fa, gb)
+        except ValueError:
+            return None
 
     def factor_through_epi(self, epi: Mor, m: Mor):
         """The u with u o epi = m, solved once per component; the mirror of
@@ -388,7 +392,11 @@ class CommaCategory(CategoryInstance):
         fa = lv.factor_through_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_epi(epi.data[1], m.data[1])
-        return None if gb is None else Mor(epi.target, m.target, (fa, gb))
+        try:  # a leg declared exact falsely can break the square
+            return None if gb is None else \
+                self.mor(epi.target, m.target, fa, gb)
+        except ValueError:
+            return None
 
     # abelian structure
 
@@ -495,16 +503,17 @@ def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
     if not cols:
         return ()
     null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
-    basis = []
-    for i in range(null.dim):
-        coords = null.basis.row(i)
-        # each kernel vector solves the square; RREF coordinates times the
-        # block-diagonal RREF component bases give RREF rows, so these
-        # pairs are the canonical basis as they are
-        basis.append(Mor(x, y, (
-            _combine(lv, x.a, y.a, fa_basis, coords[:len(fa_basis)]),
-            _combine(b_cat, x.b, y.b, gb_basis, coords[len(fa_basis):]))))
-    return tuple(basis)
+    k = len(fa_basis)
+    # RREF coordinates times the block-diagonal RREF component bases give
+    # RREF rows, so these pairs are the canonical basis as they are.  A
+    # kernel vector solves the square only over truly additive legs, so
+    # each pair is checked, once per cached basis.
+    try:
+        return tuple(cat.mor(x, y, _combine(lv, x.a, y.a, fa_basis, v[:k]),
+                             _combine(b_cat, x.b, y.b, gb_basis, v[k:]))
+                     for v in map(null.basis.row, range(null.dim)))
+    except ValueError as exc:
+        raise ExactnessViolation(f"hom basis: {exc}") from exc
 
 
 def glued_subobjects(cat: CommaCategory, x) -> tuple:

@@ -452,11 +452,10 @@ def test_validate_records_a_context_whose_audit_raises(tmp_path):
 ], ids=["left-leg", "right-leg"])
 def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
     """one_plus declared additive and exact opens the abelian interface on
-    a square that is not linear.  The audit then meets a construction the
-    data refuses (a connecting solve without a solution, or a biproduct
-    projection whose square fails) as an ExactnessViolation: validate
-    records it as a context error next to the functor's flag mismatches,
-    exits 1 and writes its report."""
+    a square that is not linear.  The audit's first hom basis checks its
+    elements and raises ExactnessViolation on the square the linearized
+    constraint missed: validate records it as a context error next to the
+    functor's flag mismatches, exits 1 and writes its report."""
     spec = {
         "schema": "commacat-workspace/1",
         "field_modulus": 2,
@@ -475,8 +474,10 @@ def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
     assert "Traceback" not in proc.stderr
     doc = json.loads(out.read_text())
     assert doc["exit_code"] == 1
-    assert doc["results"]["contexts"]["over"]["error"]["type"] == \
-        "ExactnessViolation"
+    error = doc["results"]["contexts"]["over"]["error"]
+    assert error["type"] == "ExactnessViolation"
+    assert error["message"] == \
+        "hom basis: structure square does not commute", error
     mismatches = doc["results"]["functors"]["shift"]["flag_mismatches"]
     assert any("declared additive" in m for m in mismatches), mismatches
 

@@ -2,6 +2,7 @@
 abelian structure with certified universal properties, and the frozen
 subobject counts for the arrow instance."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,8 +19,15 @@ from commacat.core import (
     verify_kernel_universal,
     verify_ses,
 )
-from commacat.errors import CapabilityError
-from commacat.functors import hom_from, hom_into, identity_functor, tensor
+from commacat.errors import CapabilityError, ExactnessViolation
+from commacat.functors import (
+    arrow_cokernel,
+    hom_from,
+    hom_into,
+    identity_functor,
+    one_plus,
+    tensor,
+)
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.linalg import Matrix
 
@@ -128,6 +136,49 @@ def test_biproduct_of_triples():
     s, _, _ = ARROW.biproduct(IDENTITY_MAP, ZERO_MAP)
     assert (s.a, s.b) == (2, 2)
     assert verify_biproduct(ARROW, IDENTITY_MAP, ZERO_MAP) == []
+
+
+# A workspace may declare flags a functor does not have.  The constructions
+# whose square rests on a flag check that square and refuse, instead of
+# returning a pair that is not a morphism.
+
+def test_hom_basis_refuses_a_leg_declared_additive_falsely():
+    shift = dataclasses.replace(one_plus(VECT), additive=True, right_exact=True)
+    cat = CommaCategory(shift, identity_functor(VECT))
+    # F sends the zero map of k^0 to the identity of k^1, so no pair at all
+    # closes this square; the linearized constraint matrix misses that
+    x = cat.split(0, 1)
+    y = cat.obj(0, 1, vmor(1, 1, [[1]]))
+    with pytest.raises(ExactnessViolation,
+                       match="^hom basis: structure square does not commute"):
+        cat.hom_basis(x, y)
+
+
+def test_biproduct_refuses_a_leg_declared_additive_falsely():
+    shift = dataclasses.replace(one_plus(VECT), additive=True, left_exact=True)
+    cat = CommaCategory(identity_functor(VECT), shift)
+    with pytest.raises(ExactnessViolation,
+                       match="^biproduct: structure square does not commute"):
+        cat.biproduct(cat.zero_object(), cat.obj(1, 0, vmor(1, 1, [[1]])))
+
+
+def test_factorization_refuses_a_leg_declared_left_exact_falsely():
+    rep = Rep(ARROW_QUIVER, 2)
+    coker = dataclasses.replace(arrow_cokernel(rep, 0, VECT), left_exact=True)
+    cat = CommaCategory(identity_functor(VECT), coker)
+    assert cat.abelian_capable and cat.additive
+    point = rep.obj((0, 1), [Matrix.build(1, 0, 2, ())])   # cokernel k
+    line = rep.obj((1, 1), [Matrix.build(1, 1, 2, (1,))])  # cokernel 0
+    g = rep.mor(point, line, [Matrix.zero(1, 0, 2), Matrix.identity(1, 2)])
+    s = cat.obj(1, point, vmor(1, 1, [[1]]))
+    t = cat.obj(1, point, vmor(1, 1, [[0]]))
+    y = cat.obj(1, line, Mor(1, 0, Matrix.zero(0, 1, 2)))
+    mono = cat.mor(s, y, VECT.identity(1), g)
+    m = cat.mor(t, y, VECT.identity(1), g)
+    assert cat.is_mono(mono)
+    # the unique component factorizations are the identities, whose square
+    # from t to s fails: the cokernel of g is not mono, so nothing factors
+    assert cat.factor_through_mono(mono, m) is None
 
 
 def test_class_vector_concatenates():
