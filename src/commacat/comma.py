@@ -90,9 +90,6 @@ class _Opposite:
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return self.cat.mor_from_flat(y, x, flat)
 
-    def span_from_flat(self, x, y, flat: tuple) -> Mor:
-        return self.cat.span_from_flat(y, x, flat)
-
     def factor_through_mono(self, mono: Mor, m: Mor):
         return self.cat.factor_through_epi(mono, m)
 
@@ -348,33 +345,26 @@ class CommaCategory(CategoryInstance):
         gb = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
         return self.mor(x, y, fa, gb)
 
-    def span_from_flat(self, x, y, flat: tuple) -> Mor:
-        if not self.additive:
-            return self.mor_from_flat(x, y, flat)
-        lv = self._left_view
-        k = lv.flat_len(x.a, y.a)
-        return Mor(x, y, (lv.span_from_flat(x.a, y.a, tuple(flat[:k])),
-                          self.right.span_from_flat(x.b, y.b, tuple(flat[k:]))))
-
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved once per component.
 
-        Needs the abelian flags, additive legs and both components of mono
-        mono (in the left view: epi in the left category when left
-        components run backwards): each component factorization is then
-        unique, so one check of its square decides (true flags make it hold
-        by cancellation; see README).  Otherwise the hom-space solve decides.
+        Needs additive legs and both components of mono mono (in the left
+        view: epi in the left category when left components run backwards):
+        each component factorization is then unique, so one check of its
+        square decides, whatever the exactness flags (true ones make it
+        hold by cancellation; see README).  Otherwise the hom-space solve
+        decides.
         """
         self._own(mono)
         self._own(m)
         lv = self._left_view
-        if not (self.abelian_capable and self.additive
-                and lv.is_mono(mono.data[0]) and self.right.is_mono(mono.data[1])):
+        if not (self.additive and lv.is_mono(mono.data[0])
+                and self.right.is_mono(mono.data[1])):
             return super().factor_through_mono(mono, m)
         fa = lv.factor_through_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_mono(mono.data[1], m.data[1])
-        try:  # a leg declared exact falsely can break the square
+        try:  # without the exactness that cancels it, the square can fail
             return None if gb is None else \
                 self.mor(m.source, mono.source, fa, gb)
         except ValueError:
@@ -386,13 +376,13 @@ class CommaCategory(CategoryInstance):
         self._own(epi)
         self._own(m)
         lv = self._left_view
-        if not (self.abelian_capable and self.additive
-                and lv.is_epi(epi.data[0]) and self.right.is_epi(epi.data[1])):
+        if not (self.additive and lv.is_epi(epi.data[0])
+                and self.right.is_epi(epi.data[1])):
             return super().factor_through_epi(epi, m)
         fa = lv.factor_through_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_epi(epi.data[1], m.data[1])
-        try:  # a leg declared exact falsely can break the square
+        try:  # without the exactness that cancels it, the square can fail
             return None if gb is None else \
                 self.mor(epi.target, m.target, fa, gb)
         except ValueError:

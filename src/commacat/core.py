@@ -152,19 +152,6 @@ class CategoryInstance(abc.ABC):
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         """The morphism x -> y with coordinates flat, checked to be one."""
 
-    def span_from_flat(self, x, y, flat: tuple) -> Mor:
-        """The morphism x -> y with coordinates flat, where flat is a linear
-        combination of the flats of morphisms x -> y.
-
-        An instance whose morphism condition is linear in the coordinates
-        may build the result without checking it, because a combination of
-        morphisms satisfies every linear condition they satisfy.  Only the
-        linear operations (add, negate, scale, and combinations of hom-basis
-        elements) and solutions of that linear condition (the Rep hom basis)
-        call this; the default checks like mor_from_flat.
-        """
-        return self.mor_from_flat(x, y, flat)
-
     def add(self, m1: Mor, m2: Mor) -> Mor:
         if (m1.source, m1.target) != (m2.source, m2.target):
             raise ValueError("cannot add morphisms with different endpoints")
@@ -249,14 +236,19 @@ def hom_dim(inst: CategoryInstance, x, y) -> int:
 
 def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
     """The morphism x -> y with the given coordinates on basis, a sequence
-    of morphisms x -> y; the one linear-combination routine."""
+    of morphisms x -> y; the one linear-combination routine.  It builds
+    through the checked mor_from_flat, since a glued square is linear only
+    over truly additive legs; a failure raises ExactnessViolation."""
     p = inst.field
     acc = [0] * inst.flat_len(x, y)
     for c, b in zip(coords, basis):
         if c % p:
             for i, v in enumerate(inst.mor_flat(b)):
                 acc[i] = (acc[i] + c * v) % p
-    return inst.span_from_flat(x, y, tuple(acc))
+    try:
+        return inst.mor_from_flat(x, y, tuple(acc))
+    except ValueError as exc:
+        raise ExactnessViolation(f"linear combination: {exc}") from exc
 
 
 def _columns_matrix(p: int, height: int, cols: Sequence) -> Matrix:

@@ -423,7 +423,8 @@ class Rep(CategoryInstance):
         else:
             constraint = Matrix.zero(0, total, p)
         null = kernel_basis(constraint)
-        return tuple(self.span_from_flat(x, y, null.basis.row(i))
+        # each kernel vector solves the intertwining system
+        return tuple(Mor(x, y, self._vertex_matrices(x, y, null.basis.row(i)))
                      for i in range(null.dim))
 
     def mor_flat(self, m: Mor) -> tuple:
@@ -448,10 +449,6 @@ class Rep(CategoryInstance):
 
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return self.mor(x, y, self._vertex_matrices(x, y, flat))
-
-    def span_from_flat(self, x, y, flat: tuple) -> Mor:
-        # intertwining is linear in the vertex maps
-        return Mor(x, y, self._vertex_matrices(x, y, flat))
 
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved vertex by vertex.

@@ -444,18 +444,17 @@ def test_validate_records_a_context_whose_audit_raises(tmp_path):
     assert doc["results"]["failures"] >= 1
 
 
-@pytest.mark.parametrize("flags, context", [
+OVER_DECLARED = pytest.mark.parametrize("flags, context", [
     ({"additive": True, "right_exact": True},
      {"kind": "comma", "left": "shift", "right": "carrier"}),
     ({"additive": True, "left_exact": True},
      {"kind": "comma", "left": "carrier", "right": "shift"}),
 ], ids=["left-leg", "right-leg"])
-def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
-    """one_plus declared additive and exact opens the abelian interface on
-    a square that is not linear.  The audit's first hom basis checks its
-    elements and raises ExactnessViolation on the square the linearized
-    constraint missed: validate records it as a context error next to the
-    functor's flag mismatches, exits 1 and writes its report."""
+
+
+def _over_declared_workspace(tmp_path, flags, context):
+    """A workspace whose one context has one_plus, declared with flags, as
+    a leg."""
     spec = {
         "schema": "commacat-workspace/1",
         "field_modulus": 2,
@@ -468,6 +467,17 @@ def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
     }
     path = tmp_path / "over.json"
     path.write_text(json.dumps(spec))
+    return path
+
+
+@OVER_DECLARED
+def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
+    """one_plus declared additive and exact opens the abelian interface on
+    a square that is not linear.  The audit's first hom basis checks its
+    elements and raises ExactnessViolation on the square the linearized
+    constraint missed: validate records it as a context error next to the
+    functor's flag mismatches, exits 1 and writes its report."""
+    path = _over_declared_workspace(tmp_path, flags, context)
     out = tmp_path / "r.json"
     proc = run_cli("validate", "--spec", str(path), "--out", str(out),
                    check_code=1)
@@ -480,6 +490,22 @@ def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
         "hom basis: structure square does not commute", error
     mismatches = doc["results"]["functors"]["shift"]["flag_mismatches"]
     assert any("declared additive" in m for m in mismatches), mismatches
+
+
+@OVER_DECLARED
+def test_validate_reports_an_over_declared_functor_at_every_seed(
+        tmp_path, capsys, flags, context):
+    """Which check refuses the nonlinear square depends on the sampled
+    audit data; at some seeds it is a linear combination of hom-basis
+    elements.  Whichever refuses, validate exits 1 with its report."""
+    from commacat import cli
+    path = _over_declared_workspace(tmp_path, flags, context)
+    for seed in range(31):
+        out = tmp_path / f"r{seed}.json"
+        assert cli.main(["validate", "--spec", str(path), "--out", str(out),
+                         "--seed", str(seed)]) == 1, seed
+        assert "Traceback" not in capsys.readouterr().err, seed
+        assert json.loads(out.read_text())["exit_code"] == 1, seed
 
 
 def bundled(name):

@@ -3,6 +3,7 @@ abelian structure with certified universal properties, and the frozen
 subobject counts for the arrow instance."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from commacat.comma import CommaCategory, component_sequences, verify_comma_abelian
 from commacat.core import (
     Mor,
+    all_homs,
     random_hom,
     subobject_ses,
     verify_biproduct,
@@ -179,6 +181,28 @@ def test_factorization_refuses_a_leg_declared_left_exact_falsely():
     # the unique component factorizations are the identities, whose square
     # from t to s fails: the cokernel of g is not mono, so nothing factors
     assert cat.factor_through_mono(mono, m) is None
+
+
+def test_linear_combinations_refuse_a_leg_declared_additive_falsely():
+    shift = dataclasses.replace(one_plus(VECT), additive=True, right_exact=True)
+    cat = CommaCategory(shift, identity_functor(VECT))
+    objs = list(cat.enumerate_objects(2))
+    refused = 0
+    for x, y in itertools.product(objs, repeat=2):
+        try:
+            cat.hom_basis(x, y)
+        except ExactnessViolation:
+            continue
+        # a combination of basis elements need not close a square that is
+        # not linear: the sweep yields only morphisms, or refuses
+        try:
+            for m in all_homs(cat, x, y, 4096):
+                assert cat.mor(x, y, *m.data) == m
+        except ExactnessViolation as exc:
+            assert str(exc).startswith(
+                "linear combination: structure square does not commute"), exc
+            refused += 1
+    assert refused
 
 
 def test_class_vector_concatenates():

@@ -201,10 +201,10 @@ def _components_factor(cat, arrow, m, side: str) -> bool:
 @pytest.mark.parametrize("name", sorted(ASSUMED))
 def test_square_decides_where_a_leg_loses_monos_or_epis(name):
     """Every mono and epi pair up to total dimension 2, exhaustively.  An
-    assume_abelian context without the flags that cancel the square
-    factors by the hom-space solve, so the factorization is that solve,
-    and it finds no morphism for pairs whose components factor but whose
-    square fails."""
+    assume_abelian context without the flags that cancel the square still
+    factors per component and checks the square of the unique component
+    pair: it agrees with the hom-space solve, and finds no morphism for
+    pairs whose components factor but whose square fails."""
     cat, side = ASSUMED[name]
     objs = list(cat.enumerate_objects(2))
     decided_by_square = Counter()
@@ -299,5 +299,6 @@ def test_combinations_stay_checked_over_a_non_additive_leg():
     cat = CommaCategory(one_plus(vect), identity_functor(vect),
                         assume_abelian=True)
     x = cat.obj(0, 1, cat.cone.identity(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ExactnessViolation,
+                       match="^linear combination: structure square does not commute"):
         cat.add(cat.identity(x), cat.identity(x))
