@@ -20,7 +20,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import acceptance
 from .comma import CommaCategory, verify_comma_abelian
@@ -53,6 +52,7 @@ from .workspace import (
     bundled_workspace_path,
     format_rational,
     load_workspace,
+    parse_rational,
     serialize_morphism,
     serialize_object,
 )
@@ -126,22 +126,10 @@ def _cmd_validate(ws: Workspace, args, seed: int):
     return (0 if failures == 0 else 1), results, {"checks": checks}
 
 
-def _named_morphism(ws: Workspace, ctx_name: str, mor_name: str):
-    if ctx_name not in ws.contexts:
-        raise SpecError(f"unknown context {ctx_name!r}")
-    if mor_name not in ws.morphisms:
-        raise SpecError(f"unknown morphism {mor_name!r}")
-    home, m = ws.morphisms[mor_name]
-    if home != ctx_name:
-        raise SpecError(f"morphism {mor_name!r} lives in context {home!r}, "
-                        f"not {ctx_name!r}")
-    return ws.contexts[ctx_name], m
-
-
 def _cmd_kernel_cokernel(ws: Workspace, args, seed: int):
     """The kernel or the cokernel of a named morphism, by args.command,
     with its universal-property certificate."""
-    cat, m = _named_morphism(ws, args.context, args.morphism)
+    cat, m = ws.named_morphism(args.context, args.morphism)
     construct, verify = ((cat.kernel, verify_kernel_universal)
                          if args.command == "kernel"
                          else (cat.cokernel, verify_cokernel_universal))
@@ -157,7 +145,7 @@ def _cmd_kernel_cokernel(ws: Workspace, args, seed: int):
 
 
 def _cmd_image(ws: Workspace, args, seed: int):
-    cat, m = _named_morphism(ws, args.context, args.morphism)
+    cat, m = ws.named_morphism(args.context, args.morphism)
     iobj, imono = image(cat, m)
     violations = []
     if not cat.is_mono(imono):
@@ -261,10 +249,7 @@ def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise SpecError("range must look like lo:hi, e.g. 1/2:4")
-    try:
-        lo, hi = Fraction(parts[0]), Fraction(parts[1])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad rational in range: {exc}") from exc
+    lo, hi = map(parse_rational, parts)
     if not 0 < lo < hi:
         raise SpecError(f"range {text} must satisfy 0 < lo < hi")
     return lo, hi

@@ -429,7 +429,7 @@ class CommaCategory(CategoryInstance):
         beta = solve(c, apply_on_object(fl, sa), apply_on_object(gl, sb),
                      equations)
         s = self._object_class(sa, sb, beta)
-        try:  # the projection squares need truly additive legs
+        try:  # the projection squares need additive legs
             return s, (self.mor(x, s, ia1, ib1), self.mor(y, s, ia2, ib2)), \
                 (self.mor(s, x, pa1, pb1), self.mor(s, y, pa2, pb2))
         except ValueError as exc:
@@ -495,15 +495,13 @@ def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
     null = kernel_basis(_columns_matrix(cat.field, len(cols[0]), cols))
     k = len(fa_basis)
     # RREF coordinates times the block-diagonal RREF component bases give
-    # RREF rows, so these pairs are the canonical basis as they are.  A
-    # kernel vector solves the square only over truly additive legs, so
-    # each pair is checked, once per cached basis.
-    try:
-        return tuple(cat.mor(x, y, _combine(lv, x.a, y.a, fa_basis, v[:k]),
-                             _combine(b_cat, x.b, y.b, gb_basis, v[k:]))
-                     for v in map(null.basis.row, range(null.dim)))
-    except ValueError as exc:
-        raise ExactnessViolation(f"hom basis: {exc}") from exc
+    # RREF rows, so these pairs are the canonical basis as they are.  Over
+    # additive legs a kernel vector solves the square; past the refusal
+    # above a non-additive leg meets a zero cone hom space, where every
+    # pair commutes.
+    return tuple(Mor(x, y, (_combine(lv, x.a, y.a, fa_basis, v[:k]),
+                            _combine(b_cat, x.b, y.b, gb_basis, v[k:])))
+                 for v in map(null.basis.row, range(null.dim)))
 
 
 def glued_subobjects(cat: CommaCategory, x) -> tuple:

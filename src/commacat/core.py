@@ -238,7 +238,7 @@ def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
     """The morphism x -> y with the given coordinates on basis, a sequence
     of morphisms x -> y; the one linear-combination routine.  It builds
     through the checked mor_from_flat, since a glued square is linear only
-    over truly additive legs; a failure raises ExactnessViolation."""
+    over additive legs; a failure raises ExactnessViolation."""
     p = inst.field
     acc = [0] * inst.flat_len(x, y)
     for c, b in zip(coords, basis):

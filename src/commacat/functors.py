@@ -46,7 +46,6 @@ class FunctorSpec:
     source: CategoryInstance
     target: CategoryInstance
     params: tuple = ()
-    additive: bool = True
     left_exact: bool = False
     right_exact: bool = False
     contravariant: bool = False
@@ -58,21 +57,29 @@ class FunctorSpec:
                 raise ValueError(f"{self.kind} needs a {cls.__name__} "
                                  f"category as its {side}")
 
+    @property
+    def additive(self) -> bool:
+        """Whether F is additive, read off the kind: an affine map on
+        Hom(x, y) is linear iff it sends 0 to 0, and F(0_{x,y}) factors
+        through F(0), so F is additive iff F(0) is a zero object."""
+        return self.target.is_zero_object(
+            apply_on_object(self, self.source.zero_object()))
+
 
 def identity_functor(inst: CategoryInstance) -> FunctorSpec:
     return FunctorSpec("identity", inst, inst,
-                       additive=True, left_exact=True, right_exact=True)
+                       left_exact=True, right_exact=True)
 
 
 def zero_functor(source: CategoryInstance, target: CategoryInstance) -> FunctorSpec:
     return FunctorSpec("zero", source, target,
-                       additive=True, left_exact=True, right_exact=True)
+                       left_exact=True, right_exact=True)
 
 
 def hom_from(source: CategoryInstance, x0, target: FinVect) -> FunctorSpec:
     """Hom(x0, -) into vector spaces; left exact always."""
     return FunctorSpec("hom_from", source, target, params=(x0,),
-                       additive=True, left_exact=True, right_exact=False)
+                       left_exact=True, right_exact=False)
 
 
 def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
@@ -83,8 +90,8 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
     """
     exact_source = isinstance(source, FinVect)
     return FunctorSpec("hom_into", source, target, params=(w,),
-                       additive=True, left_exact=True,
-                       right_exact=exact_source, contravariant=True)
+                       left_exact=True, right_exact=exact_source,
+                       contravariant=True)
 
 
 # each of these checks its index once the spec has checked that the source
@@ -93,7 +100,7 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
 
 def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
     f = FunctorSpec("eval_vertex", source, target, params=(v,),
-                    additive=True, left_exact=True, right_exact=True)
+                    left_exact=True, right_exact=True)
     if not 0 <= v < source.quiver.vertices:
         raise ValueError("vertex out of range")
     return f
@@ -101,7 +108,7 @@ def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
 
 def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
     f = FunctorSpec("arrow_kernel", source, target, params=(a,),
-                    additive=True, left_exact=True, right_exact=False)
+                    left_exact=True, right_exact=False)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
     return f
@@ -109,7 +116,7 @@ def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
 
 def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
     f = FunctorSpec("arrow_cokernel", source, target, params=(a,),
-                    additive=True, left_exact=False, right_exact=True)
+                    left_exact=False, right_exact=True)
     if not 0 <= a < len(source.quiver.arrows):
         raise ValueError("arrow out of range")
     return f
@@ -117,7 +124,7 @@ def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
 
 def tensor(inst: FinVect, w: int) -> FunctorSpec:
     return FunctorSpec("tensor", inst, inst, params=(w,),
-                       additive=True, left_exact=True, right_exact=True)
+                       left_exact=True, right_exact=True)
 
 
 def one_plus(inst: FinVect) -> FunctorSpec:
@@ -127,13 +134,13 @@ def one_plus(inst: FinVect) -> FunctorSpec:
     neither direction, which is the point of keeping it around.
     """
     return FunctorSpec("one_plus", inst, inst,
-                       additive=False, left_exact=False, right_exact=False)
+                       left_exact=False, right_exact=False)
 
 
 def constant(source: CategoryInstance, target: CategoryInstance, c0) -> FunctorSpec:
     triv = target.is_zero_object(c0)
     return FunctorSpec("constant", source, target, params=(c0,),
-                       additive=triv, left_exact=triv, right_exact=triv)
+                       left_exact=triv, right_exact=triv)
 
 
 # -- the kind table ------------------------------------------------------
@@ -208,7 +215,10 @@ class FunctorKind:
     where a workspace entry supplies the parameter: None, an object of the
     source or target category ("source_object", "target_object"), or the
     entry's "vertex", "arrow" or "dim" field.  source and target, when set,
-    are the category types the maps need; FunctorSpec refuses any other."""
+    are the category types the maps need; FunctorSpec refuses any other.
+
+    Each kind's morphism map must be affine in m on every hom space:
+    FunctorSpec.additive reads additivity off F(0) on that condition."""
 
     on_object: Callable
     on_morphism: Callable

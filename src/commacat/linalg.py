@@ -111,13 +111,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_list(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.modulus != other.modulus:
             raise ShapeError("mixed moduli")
@@ -133,33 +126,6 @@ class Matrix:
                     acc += ri[k] * other.entries[k * other.cols + j]
                 out.append(acc % p)
         return _made(self.rows, other.cols, p, tuple(out))
-
-    def _match(self, other: "Matrix") -> None:
-        if self.modulus != other.modulus:
-            raise ShapeError("mixed moduli")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch")
-
-    def add(self, other: "Matrix") -> "Matrix":
-        self._match(other)
-        p = self.modulus
-        return _made(self.rows, self.cols, p,
-                     tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._match(other)
-        p = self.modulus
-        return _made(self.rows, self.cols, p,
-                     tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
-
-    def neg(self) -> "Matrix":
-        p = self.modulus
-        return _made(self.rows, self.cols, p, tuple(-a % p for a in self.entries))
-
-    def scale(self, c: int) -> "Matrix":
-        p = self.modulus
-        c %= p
-        return _made(self.rows, self.cols, p, tuple(a * c % p for a in self.entries))
 
     def transpose(self) -> "Matrix":
         return _made(self.cols, self.rows, self.modulus,
@@ -341,10 +307,6 @@ class Subspace:
     def zero(cls, ambient_dim: int, modulus: int) -> "Subspace":
         return cls(ambient_dim, Matrix(0, ambient_dim, modulus, ()))
 
-    @classmethod
-    def full(cls, ambient_dim: int, modulus: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim, modulus))
-
     def contains_vector(self, vec) -> bool:
         p = self.modulus
         v = [int(x) % p for x in vec]
@@ -359,9 +321,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains_vector(other.basis.row(i)) for i in range(other.dim))
-
-    def sort_key(self):
-        return (self.dim, rref(self.basis).pivots, self.basis.entries)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -45,9 +45,6 @@ class GaussianRational:
         c = Fraction(c)
         return GaussianRational(c * self.re, c * self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else ""
         return f"{self.re}{sign}{self.im}i"

@@ -78,11 +78,30 @@ class Workspace:
             raise SpecError(f"unknown object {obj_name!r}")
         home_name, obj = self.objects[obj_name]
         home = self.categories.get(home_name) or self.contexts.get(home_name)
+        self._fit(home, obj, f"object {obj_name!r}")
+        return home_name, home, obj
+
+    def named_morphism(self, ctx_name: str, mor_name: str):
+        """(context, morphism) for a named morphism of the named context,
+        whose source and target must fit the budget's max_total_dim."""
+        if ctx_name not in self.contexts:
+            raise SpecError(f"unknown context {ctx_name!r}")
+        if mor_name not in self.morphisms:
+            raise SpecError(f"unknown morphism {mor_name!r}")
+        home, m = self.morphisms[mor_name]
+        if home != ctx_name:
+            raise SpecError(f"morphism {mor_name!r} lives in context "
+                            f"{home!r}, not {ctx_name!r}")
+        cat = self.contexts[ctx_name]
+        self._fit(cat, m.source, f"the source of morphism {mor_name!r}")
+        self._fit(cat, m.target, f"the target of morphism {mor_name!r}")
+        return cat, m
+
+    def _fit(self, home, obj, what: str) -> None:
         dim, bound = home.dim_total(obj), self.budget.max_total_dim
         if dim > bound:
-            raise BudgetExceeded(f"object {obj_name!r} has total dimension "
-                                 f"{dim}, above max_total_dim {bound}")
-        return home_name, home, obj
+            raise BudgetExceeded(f"{what} has total dimension {dim}, "
+                                 f"above max_total_dim {bound}")
 
 
 def _kind(table: dict, kind, where: str, what: str):
@@ -212,7 +231,7 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
     if not isinstance(declare, dict):
         raise SpecError(f"{where}: declare must be an object of flags")
     if declare:
-        allowed = {"additive", "left_exact", "right_exact"}
+        allowed = {"left_exact", "right_exact"}
         bad = set(declare) - allowed
         if bad:
             raise SpecError(f"{where}: cannot re-declare {sorted(bad)}")

@@ -164,6 +164,9 @@ OBJECT_COMMANDS = {
     "jh": (("jh", "identity_map"), "arrow"),
     "scan-alpha": (("scan-alpha", "system", "toy_curve", "1/2:4"),
                    "coherent_systems"),
+    "kernel": (("kernel", "arrow", "into_diagonal"), "arrow"),
+    "cokernel": (("cokernel", "arrow", "into_diagonal"), "arrow"),
+    "image": (("image", "arrow", "into_diagonal"), "arrow"),
 }
 
 
@@ -280,7 +283,10 @@ def test_exit_3_on_malformed_workspace(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
 
 
-@pytest.mark.parametrize("scan_range", ["0:4", "4:1", "1/2:1/2"])
+# a range is parsed with the workspace's rational grammar, so decimal
+# spellings are refused like out-of-order ends
+@pytest.mark.parametrize("scan_range", ["0:4", "4:1", "1/2:1/2", "0.5:4",
+                                        "1e0:4"])
 def test_exit_3_on_a_scan_range_outside_0_lo_hi(scan_range):
     proc = run_cli("scan-alpha", "system", "toy_curve", scan_range,
                    "--spec", bundled("coherent_systems"), check_code=3)
@@ -445,9 +451,9 @@ def test_validate_records_a_context_whose_audit_raises(tmp_path):
 
 
 OVER_DECLARED = pytest.mark.parametrize("flags, context", [
-    ({"additive": True, "right_exact": True},
+    ({"right_exact": True},
      {"kind": "comma", "left": "shift", "right": "carrier"}),
-    ({"additive": True, "left_exact": True},
+    ({"left_exact": True},
      {"kind": "comma", "left": "carrier", "right": "shift"}),
 ], ids=["left-leg", "right-leg"])
 
@@ -472,11 +478,10 @@ def _over_declared_workspace(tmp_path, flags, context):
 
 @OVER_DECLARED
 def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
-    """one_plus declared additive and exact opens the abelian interface on
-    a square that is not linear.  The audit's first hom basis checks its
-    elements and raises ExactnessViolation on the square the linearized
-    constraint missed: validate records it as a context error next to the
-    functor's flag mismatches, exits 1 and writes its report."""
+    """one_plus declared exact opens the abelian interface on a square
+    that is not linear.  The audit's first hom basis over its nonzero cone
+    hom space is refused as a context error next to the functor's flag
+    mismatch: validate exits 1 and writes its report."""
     path = _over_declared_workspace(tmp_path, flags, context)
     out = tmp_path / "r.json"
     proc = run_cli("validate", "--spec", str(path), "--out", str(out),
@@ -485,11 +490,11 @@ def test_validate_reports_an_over_declared_functor(tmp_path, flags, context):
     doc = json.loads(out.read_text())
     assert doc["exit_code"] == 1
     error = doc["results"]["contexts"]["over"]["error"]
-    assert error["type"] == "ExactnessViolation"
-    assert error["message"] == \
-        "hom basis: structure square does not commute", error
+    assert error == {"type": "CapabilityError", "message": "hom spaces need "
+                     "additive functor legs or a trivial cone hom space"}, error
+    (flag,) = flags
     mismatches = doc["results"]["functors"]["shift"]["flag_mismatches"]
-    assert any("declared additive" in m for m in mismatches), mismatches
+    assert any(f"declared {flag}" in m for m in mismatches), mismatches
 
 
 @OVER_DECLARED

@@ -11,6 +11,8 @@ import pytest
 
 from commacat.core import Mor, random_hom, short_exact
 from commacat.functors import (
+    KINDS,
+    FunctorSpec,
     apply_on_morphism,
     apply_on_object,
     arrow_cokernel,
@@ -174,6 +176,19 @@ def test_constant_functor_flags_depend_on_the_value():
     report = check_functor(stuck, samples=12)
     assert report.flag_mismatches == ()
     assert report.additivity.violations != ()
+
+
+def test_additivity_follows_the_kind():
+    specs = [identity_functor(VECT), zero_functor(REP, VECT),
+             hom_from(REP, P0, VECT), hom_into(REP, P0, VECT),
+             eval_vertex(REP, 0, VECT), arrow_kernel(REP, 0, VECT),
+             arrow_cokernel(REP, 0, VECT), tensor(VECT, 2), one_plus(VECT),
+             constant(VECT, VECT, 0), constant(VECT, VECT, 1)]
+    assert {f.kind for f in specs} == set(KINDS)
+    for f in specs:
+        observed = not check_functor(f, seed=0).additivity.violated
+        assert f.additive == observed, (f.kind, f.params)
+    assert "additive" not in {fl.name for fl in dataclasses.fields(FunctorSpec)}
 
 
 def test_functor_images_are_valid_morphisms():

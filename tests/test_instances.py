@@ -75,7 +75,7 @@ def test_rep_obj_validates_shapes():
 
 def test_projective_at_source():
     assert P0.dims == (1, 1)
-    assert P0.maps[0].row_list() == [[1]]
+    assert P0.maps[0].entries == (1,)
     assert REP.projective(1).dims == (0, 1)
 
 

@@ -105,7 +105,7 @@ def test_stack_and_kron_shapes():
 def test_rref_frozen_example():
     # hand-reduced over F_2
     r = rref(mat2([[1, 1], [1, 1]]))
-    assert r.matrix.row_list() == [[1, 1], [0, 0]]
+    assert r.matrix.entries == (1, 1, 0, 0)
     assert r.pivots == (0,)
     assert r.rank == 1
 
@@ -142,9 +142,9 @@ def test_rref_invariant_under_row_operations(m, rng):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     k = kernel_basis(m)
-    for row in k.basis.row_list():
-        col = Matrix.build(m.cols, 1, m.modulus, row)
-        assert m.mul(col).is_zero
+    for i in range(k.dim):
+        col = Matrix.build(m.cols, 1, m.modulus, k.basis.row(i))
+        assert not any(m.mul(col).entries)
 
 
 @given(matrices())
@@ -203,16 +203,17 @@ def test_subspace_membership():
     s = Subspace.from_rows(3, 2, [[1, 1, 0]])
     assert s.contains_vector((1, 1, 0))
     assert not s.contains_vector((1, 0, 0))
-    assert Subspace.full(3, 2).contains_subspace(s)
-    assert not s.contains_subspace(Subspace.full(3, 2))
+    full = Subspace(3, Matrix.identity(3, 2))
+    assert full.contains_subspace(s)
+    assert not s.contains_subspace(full)
 
 
 def test_quotient_map_kills_exactly_the_subspace():
     s = Subspace.from_rows(3, 2, [[1, 0, 0], [0, 1, 0]])
     proj, q = quotient_map(3, s)
     assert q == 1
-    for row in s.basis.row_list():
-        assert proj.mul(Matrix.build(3, 1, 2, row)).is_zero
+    for i in range(s.dim):
+        assert not any(proj.mul(Matrix.build(3, 1, 2, s.basis.row(i))).entries)
     assert rank(proj) == 1
 
 
@@ -220,6 +221,6 @@ def test_quotient_map_kills_exactly_the_subspace():
 @given(st.integers(0, 3))
 def test_subspace_enumeration_is_canonical(n):
     subs = enumerate_subspaces(n, 2)
-    keys = [s.sort_key() for s in subs]
+    keys = [(s.dim, rref(s.basis).pivots, s.basis.entries) for s in subs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)

@@ -42,11 +42,10 @@ def _assert_valid(m):
 
 
 def _results(rng, p, r, c, k):
-    a, b = _random(rng, r, c, p), _random(rng, r, c, p)
+    a = _random(rng, r, c, p)
     right = _random(rng, c, k, p)
     square = _random(rng, r, r, p)
-    out = [a.mul(right), a.add(b), a.sub(b), a.neg(), a.scale(rng.randrange(-p, 2 * p)),
-           a.transpose(), hstack([a, _random(rng, r, k, p)]),
+    out = [a.mul(right), a.transpose(), hstack([a, _random(rng, r, k, p)]),
            vstack([a, _random(rng, k, c, p)]), block_diag([a, right]), kron(a, right),
            rref(a).matrix, kernel_basis(a).basis]
     # right-hand sides that are solvable, so the solutions are built too

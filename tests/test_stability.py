@@ -14,6 +14,7 @@ from commacat.instances import ARROW_QUIVER, FinVect, Rep, ToyGeometryConfig
 from commacat.jordanholder import jh_filtration
 from commacat.linalg import Matrix
 from commacat.stability import (
+    ZERO,
     GaussianRational,
     Slope,
     StabilityFunction,
@@ -57,7 +58,7 @@ ZERO_MAP = triple(1, 1, [[0]])
 
 def test_gaussian_rational_arithmetic():
     v = GaussianRational(Fraction(1, 2), 3) + GaussianRational(Fraction(-1, 2), -3)
-    assert v.is_zero()
+    assert v == ZERO
     assert str(GaussianRational(1, -2)) == "1-2i"
 
 
@@ -88,7 +89,7 @@ def test_slope_values():
 def _fraction_slope(z, vec):
     """The slope through evaluate, in Fractions: the reference."""
     val = evaluate(z, vec)
-    if val.is_zero():
+    if val == ZERO:
         raise ValueError("the zero class has no slope")
     if val.im == 0:
         return Slope.infinite()

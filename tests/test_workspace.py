@@ -220,11 +220,13 @@ def test_every_functor_kind_loads_as_its_constructor(tmp_path, kind):
 
 
 def test_declare_rejects_unknown_flags(tmp_path):
-    def mutate(d):
-        d["functors"]["left_embed"]["declare"] = {"contravariant": True}
-    with pytest.raises(SpecError) as err:
-        load_mutated(tmp_path, mutate)
-    assert "contravariant" in str(err.value)
+    # additivity is read off the functor, so it cannot be declared either
+    for flag in ("contravariant", "additive"):
+        def mutate(d):
+            d["functors"]["left_embed"]["declare"] = {flag: True}
+        with pytest.raises(SpecError) as err:
+            load_mutated(tmp_path, mutate)
+        assert f"cannot re-declare ['{flag}']" in str(err.value)
 
 
 def test_declare_overrides_exactness_flags(tmp_path):
