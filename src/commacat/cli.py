@@ -43,6 +43,7 @@ from .jordanholder import jh_filtration
 from .kgroup import cls, decompose
 from .linalg import BudgetExceeded
 from .stability import (
+    SubobjectLattice,
     alpha_grid_probe,
     alpha_scan,
     hn_filtration,
@@ -150,9 +151,8 @@ def _cmd_image(ws: Workspace, args, seed: int):
     violations = []
     if not cat.is_mono(imono):
         violations.append("image arrow is not mono")
+    # exact, and raises when m does not factor through its image
     through = solve_through_mono(cat, imono, m)
-    if cat.compose(imono, through) != m:
-        violations.append("the morphism does not factor through its image")
     if not cat.is_epi(through):
         violations.append("the factoring map onto the image is not epi")
     results = {
@@ -231,8 +231,9 @@ def _cmd_hn(ws: Workspace, args, seed: int):
 
 def _cmd_jh(ws: Workspace, args, seed: int):
     home_name, home, x = ws.home_of(args.object)
-    filt = jh_filtration(home, x, "canonical")
-    probe = jh_filtration(home, x, "random", seed=seed + 1)
+    lat = None if home.is_zero_object(x) else SubobjectLattice(home, x)
+    filt = jh_filtration(home, x, "canonical", lattice=lat)
+    probe = jh_filtration(home, x, "random", seed=seed + 1, lattice=lat)
     agree = probe.factor_multiset() == filt.factor_multiset()
     results = {
         "home": home_name,
@@ -262,6 +263,10 @@ def _cmd_scan_alpha(ws: Workspace, args, seed: int):
     if args.geometry not in ws.geometries:
         raise SpecError(f"unknown geometry {args.geometry!r}")
     geometry = ws.geometries[args.geometry]
+    ranks = (home.left.class_rank, home.right.class_rank)
+    if (len(geometry.dim_gamma), len(geometry.deg)) != ranks:
+        raise SpecError(f"geometry {args.geometry!r} does not fit the class "
+                        f"ranks {ranks} of {home_name!r}")
     lo, hi = _parse_range(args.range)
     report = alpha_scan(home, x, geometry, lo, hi)
     oracle = alpha_grid_probe(home, x, geometry, lo, hi)

@@ -37,7 +37,8 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration guard rails; the CLI can override both knobs."""
+    """Enumeration guard rails; the CLI's --budget overrides max_vectors,
+    and a workspace file can set both."""
 
     max_vectors: int = DEFAULT_VECTOR_BUDGET
     max_total_dim: int = 6
@@ -569,13 +570,15 @@ class Rep(CategoryInstance):
 
 
 def _dim_vectors(n: int, total: int):
+    """Every n-tuple of nonnegative ints summing to total, lexicographic:
+    stars and bars, n - 1 bars among total + n - 1 slots, no recursion."""
     if n == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in _dim_vectors(n - 1, total - head):
-            yield (head,) + rest
+    slots = total + n - 1
+    for bars in itertools.combinations(range(slots), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 # -- toy geometry for coherent-system scans ------------------------------

@@ -166,9 +166,9 @@ class SubobjectLattice:
     and the memoized inclusion relation.
 
     The keys are the ones enumeration carried on each subobject, and the
-    order is core.subobject_leq, which compares them.  Filtration searches
-    walk this poset heavily and read the subobjects of each factor off an
-    interval of it (factor_proper_classes) instead of building the factor.
+    order is core.subobject_leq, which compares them.  In an abelian
+    category the subobjects of a factor subs[j] / subs[i] are read from
+    strictly_above(i), which a greedy filtration step has just ranked.
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -224,18 +224,13 @@ class SubobjectLattice:
         return tuple(p - q for p, q in zip(self.classes[j], self.classes[i]))
 
     def factor_proper_classes(self, i: int, j: int) -> list:
-        """The proper classes of the factor subs[j] / subs[i], i < j.
-
-        In an abelian category the subobjects of the factor are the t with
-        subs[i] <= t <= subs[j], and the class of t / subs[i] is the class
-        difference.  A category not known to be abelian builds the factor
-        by cokernel and enumerates its own lattice instead.
-        """
-        if not self.cat.abelian_capable:
-            return SubobjectLattice(self.cat,
-                                    self.factor_object(i, j)).proper_classes()
-        return [self.diff(t, i) for t in self.strictly_above(i)
-                if t != j and self.leq(t, j)]
+        """The proper classes of the factor subs[j] / subs[i], i < j, from
+        its own lattice, built by cokernel (factor_object).  Only a context
+        that is not abelian_capable needs them (see hn_filtration); there
+        the interval [i, j] may list classes for a factor without a unique
+        cokernel, which raises here instead."""
+        return SubobjectLattice(self.cat,
+                                self.factor_object(i, j)).proper_classes()
 
     def factor_object(self, i: int, j: int):
         """The quotient subs[j] / subs[i] for a strict inclusion i < j."""
@@ -297,9 +292,10 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
     Each step adjoins the strictly larger subobject maximizing first the
     slope of the new factor, then the factor's total class size.  That
     maximizer is unique by standard slope theory; uniqueness is checked,
-    and the finished filtration is re-verified: every factor semistable,
-    its subobjects read off the lattice interval, and slopes strictly
-    decreasing.
+    as are strictly decreasing slopes.  Each factor cur / prev is
+    semistable: in an abelian_capable context its subobjects are t / prev
+    for t in strictly_above(prev), over which cur maximized the slope;
+    other contexts check it on the factor's own lattice.
     """
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no filtration")
@@ -324,21 +320,17 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
                 "maximal destabilizing subobject is not unique; "
                 "the greedy invariant is broken")
         chain.append(best)
-    factor_slopes = []
-    factor_classes = []
-    for prev, cur in zip(chain, chain[1:]):
-        diff = lat.diff(cur, prev)
-        mu = slope(z, diff)
-        if not all(slope(z, c) <= mu
-                   for c in lat.factor_proper_classes(prev, cur)):
-            raise CertificateFailure("greedy factor is not semistable")
-        factor_slopes.append(mu)
-        factor_classes.append(diff)
-    for s1, s2 in zip(factor_slopes, factor_slopes[1:]):
-        if not s2 < s1:
-            raise CertificateFailure("factor slopes are not strictly decreasing")
+    pairs = list(zip(chain, chain[1:]))
+    factor_classes = tuple(lat.diff(cur, prev) for prev, cur in pairs)
+    factor_slopes = tuple(slope(z, c) for c in factor_classes)
+    if not cat.abelian_capable and any(
+            slope(z, c) > mu for (prev, cur), mu in zip(pairs, factor_slopes)
+            for c in lat.factor_proper_classes(prev, cur)):
+        raise CertificateFailure("greedy factor is not semistable")
+    if any(not s2 < s1 for s1, s2 in zip(factor_slopes, factor_slopes[1:])):
+        raise CertificateFailure("factor slopes are not strictly decreasing")
     return HNFiltration(tuple(lat.subs[i] for i in chain),
-                        tuple(factor_slopes), tuple(factor_classes))
+                        factor_slopes, factor_classes)
 
 
 def hn_type(cat: CategoryInstance, z: StabilityFunction, x,

@@ -261,13 +261,20 @@ MALFORMED = {
                          SCAN, "coherent_systems"),
     "dim-gamma-zero": ([("stability", "toy_curve", "dim_gamma", [0])],
                        SCAN, "coherent_systems"),
+    # a geometry whose rank does not match the scanned context's
+    "geometry-right-rank-3": ([("stability", "toy_curve", "deg", [-1, 1, 2]),
+                               ("stability", "toy_curve", "rk", [1, 1, 1])],
+                              SCAN, "coherent_systems"),
+    "geometry-left-rank-2": ([("stability", "toy_curve", "dim_gamma", [1, 1])],
+                             SCAN, "coherent_systems"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_exit_3_on_malformed_workspace(tmp_path, case):
-    """A workspace of the wrong shape or types is refused at load: exit 3,
-    one spec error line, no traceback."""
+    """A workspace of the wrong shape or types is refused at load, and a
+    geometry of the wrong rank by the scan: exit 3, one spec error line,
+    no traceback."""
     edits, command, *workspace = MALFORMED[case]
     with open(bundled(workspace[0] if workspace else "arrow")) as fh:
         doc = json.load(fh)
@@ -384,19 +391,22 @@ def test_exit_1_with_report_on_a_failed_certificate(tmp_path, monkeypatch,
     """A filtration check that fails raises CertificateFailure; cli.main
     exits 1 and writes a report carrying it instead of a traceback.
 
-    The patched interval read gives every factor a proper subobject of
-    class (1, 0), of infinite slope, so the second HN factor of zero_map,
-    of slope 0, is no longer semistable."""
+    The patched up-set lists every subobject twice, the best one too, so
+    the greedy HN step of zero_map sees a tie for the maximal
+    destabilizing subobject."""
     from commacat import cli, stability
-    monkeypatch.setattr(stability.SubobjectLattice, "factor_proper_classes",
-                        lambda self, i, j: [(1, 0)])
+    strictly_above = stability.SubobjectLattice.strictly_above
+    monkeypatch.setattr(stability.SubobjectLattice, "strictly_above",
+                        lambda self, i: [*strictly_above(self, i)] * 2)
     out = tmp_path / "r.json"
     assert cli.main(["hn", "Z", "zero_map", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("construction failed:")
     doc = json.loads(out.read_text())
     assert doc["exit_code"] == 1
-    assert doc["error"] == {"type": "CertificateFailure",
-                            "message": "greedy factor is not semistable"}
+    assert doc["error"] == {
+        "type": "CertificateFailure",
+        "message": "maximal destabilizing subobject is not unique; "
+                   "the greedy invariant is broken"}
 
 
 def test_kclass_reports_a_triple_that_does_not_split(tmp_path):

@@ -2,6 +2,7 @@
 hand-solved commuting-square systems, subobject sweeps, and the toy
 geometry validity rules."""
 
+import itertools
 import random
 
 import pytest
@@ -119,6 +120,25 @@ def test_rep_enumerate_objects_small_sweep():
     assert len(objs) == 3  # zero, S0, S1
     dims = sorted(o.dims for o in objs)
     assert dims == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_rep_enumerates_a_quiver_with_many_vertices():
+    """Dimension vectors come from stars and bars, with no recursion per
+    vertex, so a 1,200-vertex quiver enumerates its zero object."""
+    zero = next(iter(Rep(Quiver(1200, ()), 2).enumerate_objects(0)))
+    assert zero.dims == (0,) * 1200
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_rep_enumerates_dimension_vectors_in_lexicographic_order(n):
+    """Without arrows each dimension vector is one object.  They come by
+    total, each total in lexicographic order: the order of the recursion
+    over vertices that stars and bars replaced."""
+    want = [v for total in range(7)
+            for v in itertools.product(range(total + 1), repeat=n)
+            if sum(v) == total]
+    rep = Rep(Quiver(n, ()), 2)
+    assert [x.dims for x in rep.enumerate_objects(6)] == want
 
 
 def test_rep_class_vector_is_dimension_vector():

@@ -2,6 +2,8 @@
 replaced is kept here as the oracle.  Also the raises that guard exactness
 where a solve finds nothing, which must survive `python -O`."""
 
+import random
+
 import pytest
 
 from commacat import functors, instances
@@ -20,8 +22,15 @@ from commacat.functors import (
     tensor,
 )
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
+from commacat.jordanholder import is_simple, jh_filtration
 from commacat.linalg import Matrix
-from commacat.stability import SubobjectLattice
+from commacat.stability import (
+    GaussianRational,
+    StabilityFunction,
+    SubobjectLattice,
+    hn_filtration,
+    is_semistable,
+)
 
 MAX_DIM = {2: 3, 3: 2}
 
@@ -121,34 +130,52 @@ def test_lattice_whole_is_the_identity_subobject(name, p):
     assert objects
 
 
+def _stability_functions(rank: int, count: int = 3) -> list:
+    """count seeded stability functions of the given rank: imaginary parts
+    0 to 2, and a purely real coefficient strictly negative."""
+    rng = random.Random(rank)
+    out = []
+    for _ in range(count):
+        coeffs = []
+        for _ in range(rank):
+            im = rng.randint(0, 2)
+            coeffs.append(GaussianRational(
+                rng.randint(-3, 3) if im else rng.randint(-3, -1), im))
+        out.append(StabilityFunction(tuple(coeffs)))
+    return out
+
+
+def _factor_objects(lat, filt) -> list:
+    """The factor objects of a filtration whose steps come from lat."""
+    chain = [lat.keys.index(s.key) for s in filt.steps]
+    return [lat.factor_object(i, j) for i, j in zip(chain, chain[1:])]
+
+
 @pytest.mark.parametrize("p", sorted(MAX_DIM))
-@pytest.mark.parametrize("name", EXACT + CONFIRMED)
-def test_factor_intervals_match_the_factor_lattices(name, p):
-    """The proper classes read off the interval [i, j] equal those of the
-    lattice of the factor object subs[j] / subs[i], for every strict pair.
-    Only a context that is not abelian_capable may fail to build the
-    factor, and there the interval read fails the same way."""
+@pytest.mark.parametrize("name", EXACT)
+def test_greedy_factors_pass_their_own_lattices(name, p):
+    """The factor check that hn_filtration and jh_filtration skip in an
+    abelian_capable context, kept as their oracle: each HN factor is
+    semistable, and each JH factor simple, in the lattice of the factor
+    object that factor_object builds by cokernel."""
     cat = _contexts(p)[name]
-    pairs = 0
+    assert cat.abelian_capable
+    zs = _stability_functions(cat.class_rank)
+    factors = 0
     for x in cat.enumerate_objects(MAX_DIM[p]):
-        try:
-            lat = SubobjectLattice(cat, x)
-        except ExactnessViolation:
-            assert name in CONFIRMED
+        if cat.is_zero_object(x):
             continue
-        for i in range(len(lat.subs)):
-            for j in lat.strictly_above(i):
-                try:
-                    want = SubobjectLattice(
-                        cat, lat.factor_object(i, j)).proper_classes()
-                except ExactnessViolation:
-                    assert not cat.abelian_capable
-                    with pytest.raises(ExactnessViolation):
-                        lat.factor_proper_classes(i, j)
-                    continue
-                assert sorted(lat.factor_proper_classes(i, j)) == sorted(want)
-                pairs += 1
-    assert pairs
+        lat = SubobjectLattice(cat, x)
+        for z in zs:
+            for f in _factor_objects(lat, hn_filtration(cat, z, x, lat)):
+                assert is_semistable(cat, z, f)
+                factors += 1
+        for policy in ("canonical", "random"):
+            filt = jh_filtration(cat, x, policy, lattice=lat)
+            for f in _factor_objects(lat, filt):
+                assert is_simple(cat, f)
+                factors += 1
+    assert factors
 
 
 def test_lattice_without_zero_subobject_raises():
@@ -217,3 +244,20 @@ def test_interval_read_needs_an_abelian_capable_context():
         lat.factor_object(i, j)
     with pytest.raises(ExactnessViolation, match="non-trivial solution"):
         lat.factor_proper_classes(i, j)
+
+
+def test_hn_checks_each_factor_where_the_context_is_not_abelian_capable():
+    """Outside an abelian_capable context the greedy step proves nothing
+    about a factor, so hn_filtration still builds each one.  With the
+    middle simple of the context above steepest and the other two of equal
+    slope, the greedy chain jumps from (rep(0,1), k^0) straight to x, whose
+    factor has no unique cokernel."""
+    rep = Rep(ARROW_QUIVER, 2)
+    vect = FinVect(2)
+    cat = CommaCategory(arrow_kernel(rep, 0, vect), identity_functor(vect),
+                        assume_abelian=True)
+    x = cat.obj(_arrow_object(rep), 1, vect.zero_morphism(0, 1))
+    z = StabilityFunction((GaussianRational(0, 1), GaussianRational(-5, 1),
+                           GaussianRational(0, 1)))
+    with pytest.raises(ExactnessViolation, match="non-trivial solution"):
+        hn_filtration(cat, z, x)
