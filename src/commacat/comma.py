@@ -72,6 +72,10 @@ class _Opposite:
     def field(self) -> int:
         return self.cat.field
 
+    @property
+    def additive(self) -> bool:
+        return self.cat.additive
+
     def zero_morphism(self, x, y) -> Mor:
         return self.cat.zero_morphism(y, x)
 
@@ -89,6 +93,9 @@ class _Opposite:
 
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return self.cat.mor_from_flat(y, x, flat)
+
+    def build_from_flat(self, x, y, flat: tuple) -> Mor:
+        return self.cat.build_from_flat(y, x, flat)
 
     def factor_through_mono(self, mono: Mor, m: Mor):
         return self.cat.factor_through_epi(mono, m)
@@ -126,6 +133,12 @@ class _Opposite:
 
     def is_epi(self, m: Mor) -> bool:
         return self.cat.is_mono(m)
+
+    def kernel_class(self, m: Mor):
+        return self.cat.cokernel_class(m)
+
+    def cokernel_class(self, m: Mor):
+        return self.cat.kernel_class(m)
 
 
 @dataclass(frozen=True)
@@ -195,8 +208,10 @@ class CommaCategory(CategoryInstance):
     @cached_property
     def additive(self) -> bool:
         """Whether both legs are additive, which makes the structure-square
-        condition linear in the component morphisms."""
-        return self.left_functor.additive and self.right_functor.additive
+        condition linear in the component morphisms, over additive
+        component categories."""
+        return (self.left_functor.additive and self.right_functor.additive
+                and self.left.additive and self.right.additive)
 
     def _require_abelian(self) -> None:
         if not (self.abelian_capable or self.assume_abelian):
@@ -228,12 +243,17 @@ class CommaCategory(CategoryInstance):
             raise ValueError("left component has wrong endpoints")
         if (gb.source, gb.target) != (x.b, y.b):
             raise ValueError("right component has wrong endpoints")
-        c = self.cone
-        p, q = self._square_ends(x, y)
-        if (c.compose(p.alpha, apply_on_morphism(self.left_functor, fa))
-                != c.compose(apply_on_morphism(self.right_functor, gb), q.alpha)):
+        if not self._commutes(x, y, fa, gb):
             raise ValueError("structure square does not commute")
         return Mor(x, y, (fa, gb))
+
+    def _commutes(self, x, y, fa: Mor, gb: Mor) -> bool:
+        """Whether the structure square of the pair (fa, gb): x -> y
+        commutes."""
+        c = self.cone
+        p, q = self._square_ends(x, y)
+        return (c.compose(p.alpha, apply_on_morphism(self.left_functor, fa))
+                == c.compose(apply_on_morphism(self.right_functor, gb), q.alpha))
 
     def _structure_solver(self, x, y, ff: Mor, exact: bool = True):
         """Solver for the structure map of whichever of x, y is None, for a
@@ -338,12 +358,19 @@ class CommaCategory(CategoryInstance):
     def flat_len(self, x, y) -> int:
         return self._left_view.flat_len(x.a, y.a) + self.right.flat_len(x.b, y.b)
 
+    def _split_flat(self, x, y, flat: tuple) -> tuple:
+        k = self._left_view.flat_len(x.a, y.a)
+        return tuple(flat[:k]), tuple(flat[k:])
+
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
-        lv = self._left_view
-        k = lv.flat_len(x.a, y.a)
-        fa = lv.mor_from_flat(x.a, y.a, tuple(flat[:k]))
-        gb = self.right.mor_from_flat(x.b, y.b, tuple(flat[k:]))
-        return self.mor(x, y, fa, gb)
+        fl, gl = self._split_flat(x, y, flat)
+        return self.mor(x, y, self._left_view.mor_from_flat(x.a, y.a, fl),
+                        self.right.mor_from_flat(x.b, y.b, gl))
+
+    def build_from_flat(self, x, y, flat: tuple) -> Mor:
+        fl, gl = self._split_flat(x, y, flat)
+        return Mor(x, y, (self._left_view.build_from_flat(x.a, y.a, fl),
+                          self.right.build_from_flat(x.b, y.b, gl)))
 
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved once per component.
@@ -462,6 +489,61 @@ class CommaCategory(CategoryInstance):
 
     def is_epi(self, m: Mor) -> bool:
         return self._left_view.is_epi(m.data[0]) and self.right.is_epi(m.data[1])
+
+    def class_certificate(self, m: Mor, arrow: Mor, side: str):
+        """Certify a kernel (cokernel) candidate of m in component
+        coordinates, for an arrow that kills m and is mono (epi): its
+        square commutes (it raises ValueError, as mor does, when not),
+        each component has its view's kernel (cokernel) class, and the leg
+        image through which _structure_solver closes the candidate's
+        square cancels on this arrow.  The four cases, with k: K -> X the
+        kernel candidate and c: Y -> C the cokernel candidate:
+
+        - comma kernel, G(k_b) mono.  A cone h: T -> X factors uniquely
+          per component, h = k u.  Then G(k_b) K.alpha F(u_a)
+          = X.alpha F(k_a u_a) = X.alpha F(h_a) = G(h_b) T.alpha
+          = G(k_b) G(u_b) T.alpha, and G(k_b) cancels: u is a morphism.
+        - comma cokernel, F(c_a) epi.  A cocone h = u c gives
+          T.alpha F(u_a) F(c_a) = T.alpha F(h_a) = G(h_b) Y.alpha
+          = G(u_b) G(c_b) Y.alpha = G(u_b) C.alpha F(c_a), and F(c_a)
+          cancels.
+        - co-comma kernel, F(k_a) epi, with k_a: X.a -> K.a and h_a = u_a k_a
+          in the left category.  T.alpha F(u_a) F(k_a) = T.alpha F(h_a)
+          = G(h_b) X.alpha = G(u_b) G(k_b) X.alpha = G(u_b) K.alpha F(k_a),
+          and F(k_a) cancels.
+        - co-comma cokernel, G(c_b) mono, with c_a: C.a -> Y.a and
+          h_a = c_a u_a.  G(c_b) C.alpha F(u_a) = Y.alpha F(c_a u_a)
+          = Y.alpha F(h_a) = G(h_b) T.alpha = G(c_b) G(u_b) T.alpha, and
+          G(c_b) cancels.
+
+        Each uses only functoriality, not exactness flags or additivity.
+        Where the leg image does not cancel on this arrow, or a view has no
+        class certificate, it returns None and the rank identity decides.
+        """
+        kernel = side == "kernel"
+        fa, gb = arrow.data
+        if kernel == self.left_reversed:
+            cancels = self.cone.is_epi(apply_on_morphism(self.left_functor, fa))
+        else:
+            cancels = self.cone.is_mono(apply_on_morphism(self.right_functor, gb))
+        if not cancels:
+            return None
+        obj = arrow.source if kernel else arrow.target
+        shortfalls = []
+        for name, view, cat, comp, mc in (
+                ("left", self._left_view, self.left, obj.a, m.data[0]),
+                ("right", self.right, self.right, obj.b, m.data[1])):
+            want = view.kernel_class(mc) if kernel else view.cokernel_class(mc)
+            if want is None:
+                return None
+            have = cat.class_vector(comp)
+            if have != want:
+                shortfalls.append(
+                    f"{name} component: class {have}, {side} class {want}")
+        # kernel and cokernel build the square without checking it
+        if not self._commutes(arrow.source, arrow.target, fa, gb):
+            raise ValueError("structure square does not commute")
+        return shortfalls
 
 
 def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:

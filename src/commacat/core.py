@@ -82,6 +82,10 @@ class CategoryInstance(abc.ABC):
     # override this from the exactness flags of their legs
     abelian_capable = True
 
+    # whether every linear combination of morphisms x -> y is a morphism;
+    # the glued categories override this from the kinds of their legs
+    additive = True
+
     # -- objects ---------------------------------------------------------
 
     @property
@@ -151,6 +155,13 @@ class CategoryInstance(abc.ABC):
     @abc.abstractmethod
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         """The morphism x -> y with coordinates flat, checked to be one."""
+
+    def build_from_flat(self, x, y, flat: tuple) -> Mor:
+        """The morphism x -> y with coordinates flat, built without the
+        check of mor_from_flat, for a flat known to be a morphism's.  The
+        default checks anyway; instances whose check costs work override
+        it."""
+        return self.mor_from_flat(x, y, flat)
 
     def add(self, m1: Mor, m2: Mor) -> Mor:
         if (m1.source, m1.target) != (m2.source, m2.target):
@@ -226,6 +237,38 @@ class CategoryInstance(abc.ABC):
     def is_epi(self, m: Mor) -> bool:
         return self.is_zero_object(self.cokernel(m)[0])
 
+    # -- class certificates ----------------------------------------------
+
+    def kernel_class(self, m: Mor) -> Optional[tuple]:
+        """The class of ker m where the instance reads it off ranks, or
+        None where it cannot; then a mono k with m o k = 0 is the kernel
+        exactly when [source of k] equals it."""
+        return None
+
+    def cokernel_class(self, m: Mor) -> Optional[tuple]:
+        """The class of coker m by rank-nullity, [Y] - [X] + [ker m] for
+        m: X -> Y, or None with kernel_class."""
+        k = self.kernel_class(m)
+        if k is None:
+            return None
+        return tuple(c + y - x for c, y, x in zip(
+            k, self.class_vector(m.target), self.class_vector(m.source)))
+
+    def class_certificate(self, m: Mor, arrow: Mor, side: str) -> Optional[list]:
+        """For a candidate arrow for the kernel (side "kernel") or cokernel
+        of m that is mono (epi) and kills m: a line per class that falls
+        short of the true one, empty when the arrow is the kernel
+        (cokernel), or None when the instance has no class certificate
+        and the rank identity decides.  A glued instance raises ValueError
+        when the arrow is not a morphism."""
+        want = (self.kernel_class(m) if side == "kernel"
+                else self.cokernel_class(m))
+        if want is None:
+            return None
+        have = self.class_vector(arrow.source if side == "kernel"
+                                 else arrow.target)
+        return [] if have == want else [f"class {have}, {side} class {want}"]
+
 
 # -- linear solving in hom coordinates ----------------------------------
 
@@ -236,15 +279,19 @@ def hom_dim(inst: CategoryInstance, x, y) -> int:
 
 def _combine(inst: CategoryInstance, x, y, basis: Sequence[Mor], coords) -> Mor:
     """The morphism x -> y with the given coordinates on basis, a sequence
-    of morphisms x -> y; the one linear-combination routine.  It builds
-    through the checked mor_from_flat, since a glued square is linear only
-    over additive legs; a failure raises ExactnessViolation."""
+    of morphisms x -> y; the one linear-combination routine.  An additive
+    instance builds it directly, since there a combination of morphisms is
+    one.  Otherwise (a glued square over a leg that is not additive) it
+    builds through the checked mor_from_flat, and a failure raises
+    ExactnessViolation."""
     p = inst.field
     acc = [0] * inst.flat_len(x, y)
     for c, b in zip(coords, basis):
         if c % p:
             for i, v in enumerate(inst.mor_flat(b)):
                 acc[i] = (acc[i] + c * v) % p
+    if inst.additive:
+        return inst.build_from_flat(x, y, tuple(acc))
     try:
         return inst.mor_from_flat(x, y, tuple(acc))
     except ValueError as exc:
@@ -418,6 +465,23 @@ def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
 # -- universal-property certification -----------------------------------
 
 
+def _class_violations(inst, m, arrow, side: str, cone: str) -> Optional[list]:
+    """The class certificate's verdict on a candidate arrow that kills m
+    and that is_mono (is_epi) accepted: no violations when it is the
+    kernel (cokernel), the failed factorization and the class lines that
+    fall short when it is not, or None when the instance has no class
+    certificate on this morphism.  It draws nothing from an rng."""
+    try:
+        shortfalls = inst.class_certificate(m, arrow, side)
+    except ValueError as exc:
+        return [f"{side} arrow is not a morphism: {exc}"]
+    if not shortfalls:
+        return shortfalls
+    # a candidate short of the true class misses a cone: the kernel
+    # (cokernel) itself
+    return [f"{cone} does not factor through the {side}", *shortfalls]
+
+
 def _rank_violations(inst, rng, tests, homs, name: str, cone: str) -> list:
     """The rank identity of both verifiers, for a candidate K that kills m
     and that is_mono (is_epi) accepted.  homs(t) is dim Hom(t, K) and the
@@ -438,21 +502,25 @@ def verify_kernel_universal(inst: CategoryInstance, m: Mor, kobj, kmor: Mor,
                             rng: random.Random) -> list:
     """Certify (kobj, kmor) as the kernel of m.
 
-    Checks m o kmor = 0 and kmor mono, then for such a kmor the rank
-    identity of _rank_violations on Hom(t, -) for t the kernel, the source
-    of m, every simple and one sampled object.  A nonzero kernel has a
-    simple subobject, so a zero candidate in place of one fails there.
+    Checks m o kmor = 0 and kmor mono.  Such a kmor is then certified by
+    the instance's class certificate (class_certificate) where it has one,
+    and otherwise by the rank identity of _rank_violations on Hom(t, -)
+    for t the kernel, the source of m, every simple and one sampled
+    object.  A nonzero kernel has a simple subobject, so a zero candidate
+    in place of one fails there.
     """
     killed = inst.compose(m, kmor) == inst.zero_morphism(kobj, m.target)
     violations = [] if killed else ["kernel arrow does not compose to zero"]
     if not inst.is_mono(kmor):
         violations.append("kernel arrow is not mono")
     elif killed:
-        violations += _rank_violations(
+        cone = "a cone killed by m"
+        found = _class_violations(inst, m, kmor, "kernel", cone)
+        violations += found if found is not None else _rank_violations(
             inst, rng, (kobj, m.source), lambda t: (
                 hom_dim(inst, t, kobj),
                 _hom_action(inst, t, m.source, lambda h: inst.compose(m, h))),
-            "kernel", "a cone killed by m")
+            "kernel", cone)
     return violations
 
 
@@ -465,11 +533,13 @@ def verify_cokernel_universal(inst: CategoryInstance, m: Mor, cobj, cmor: Mor,
     if not inst.is_epi(cmor):
         violations.append("cokernel arrow is not epi")
     elif killed:
-        violations += _rank_violations(
+        cone = "a cocone killing m"
+        found = _class_violations(inst, m, cmor, "cokernel", cone)
+        violations += found if found is not None else _rank_violations(
             inst, rng, (cobj, m.target), lambda t: (
                 hom_dim(inst, cobj, t),
                 _hom_action(inst, m.target, t, lambda h: inst.compose(h, m))),
-            "cokernel", "a cocone killing m")
+            "cokernel", cone)
     return violations
 
 

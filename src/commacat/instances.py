@@ -202,6 +202,9 @@ class FinVect(CategoryInstance):
     def is_epi(self, m: Mor) -> bool:
         return rank(m.data) == m.data.rows
 
+    def kernel_class(self, m: Mor) -> tuple:
+        return (m.source - rank(m.data),)
+
 
 # -- quivers -------------------------------------------------------------
 
@@ -425,7 +428,7 @@ class Rep(CategoryInstance):
             constraint = Matrix.zero(0, total, p)
         null = kernel_basis(constraint)
         # each kernel vector solves the intertwining system
-        return tuple(Mor(x, y, self._vertex_matrices(x, y, null.basis.row(i)))
+        return tuple(self.build_from_flat(x, y, null.basis.row(i))
                      for i in range(null.dim))
 
     def mor_flat(self, m: Mor) -> tuple:
@@ -450,6 +453,9 @@ class Rep(CategoryInstance):
 
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return self.mor(x, y, self._vertex_matrices(x, y, flat))
+
+    def build_from_flat(self, x, y, flat: tuple) -> Mor:
+        return Mor(x, y, self._vertex_matrices(x, y, flat))
 
     def factor_through_mono(self, mono: Mor, m: Mor):
         """The u with mono o u = m, solved vertex by vertex.
@@ -567,6 +573,10 @@ class Rep(CategoryInstance):
 
     def is_epi(self, m: Mor) -> bool:
         return all(rank(mat) == mat.rows for mat in m.data)
+
+    def kernel_class(self, m: Mor) -> tuple:
+        """Vertexwise nullities: kernels are computed vertexwise."""
+        return tuple(d - rank(mat) for d, mat in zip(m.source.dims, m.data))
 
 
 def _dim_vectors(n: int, total: int):

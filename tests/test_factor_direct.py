@@ -254,8 +254,9 @@ def _factorizations(cat, rng, max_dim) -> list:
 
 @pytest.mark.parametrize("name, p", CASES)
 def test_trusted_morphisms_pass_the_checked_constructor(name, p):
-    """Linear combinations, kernel and cokernel arrows, induced maps,
-    hom-basis elements, subobject monos, biproduct arrows and
+    """Linear combinations (also through mor_from_flat, since an additive
+    instance builds them directly), kernel and cokernel arrows, induced
+    maps, hom-basis elements, subobject monos, biproduct arrows and
     factorizations through a mono or an epi, on sampled objects; and the
     subobject monos of every object up to MAX_DIM, which in the
     identity/identity context are the objects of the lattice benchmark."""
@@ -282,6 +283,9 @@ def test_trusted_morphisms_pass_the_checked_constructor(name, p):
             for m in ms:
                 assert _rebuilt(cat, m) == m, kind
                 built[kind] += 1
+        # an additive instance builds linear combinations without a check
+        for m in made["linear"]:
+            assert cat.mor_from_flat(m.source, m.target, cat.mor_flat(m)) == m
     for x in cat.enumerate_objects(MAX_DIM[p]):
         for s in cat.enumerate_subobjects(x):
             assert _rebuilt(cat, s.mono) == s.mono
