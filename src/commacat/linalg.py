@@ -293,19 +293,10 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, modulus: int, row_seq) -> "Subspace":
-        rows = [list(r) for r in row_seq]
-        if not rows:
-            return cls.zero(ambient_dim, modulus)
-        m = Matrix.from_rows(rows, modulus, cols=ambient_dim)
-        r = rref(m)
-        kept = [list(r.matrix.row(i)) for i in range(r.rank)]
-        if not kept:
-            return cls.zero(ambient_dim, modulus)
-        return cls(ambient_dim, Matrix.from_rows(kept, modulus, cols=ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int, modulus: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, modulus, ()))
+        # the nonzero rows of an RREF are its first rank rows
+        r = rref(Matrix.from_rows(row_seq, modulus, cols=ambient_dim))
+        n = ambient_dim
+        return cls(n, _made(r.rank, n, modulus, r.matrix.entries[:r.rank * n]))
 
     def contains_vector(self, vec) -> bool:
         p = self.modulus
@@ -368,36 +359,26 @@ def solve_left(m: Matrix, target: Matrix):
     return None if xt is None else xt.transpose()
 
 
-def inverse(m: Matrix):
-    if m.rows != m.cols:
-        raise ShapeError("inverse of non-square matrix")
-    if rank(m) != m.rows:
-        return None
-    return solve(m, Matrix.identity(m.rows, m.modulus))
-
-
 def quotient_map(ambient_dim: int, s: Subspace):
     """Projection F_p^n -> F_p^q with kernel exactly s.
 
-    The complement coordinates are the non-pivot columns of the RREF basis,
-    so the quotient map is canonical for a canonical subspace.
+    The complement coordinates are the non-pivot columns c_j of the RREF
+    basis, so the quotient map is canonical for a canonical subspace: the
+    one map that kills s and is the identity on the c_j.  Row j has 1 at
+    c_j and -s_i[c_j] at the pivot column of each basis row s_i.
     """
     if s.ambient_dim != ambient_dim:
         raise ShapeError("ambient mismatch")
-    p = s.modulus
-    q = ambient_dim - s.dim
-    if ambient_dim == 0:
-        return _made(0, 0, p, ()), 0
-    pivots = set(rref(s.basis).pivots)
-    complement = [c for c in range(ambient_dim) if c not in pivots]
-    cols = [s.basis.row(i) for i in range(s.dim)]
-    cols += [tuple(1 if k == c else 0 for k in range(ambient_dim)) for c in complement]
-    basis_mat = Matrix.from_rows(cols, p, cols=ambient_dim).transpose()
-    inv = inverse(basis_mat)
-    proj_rows = [list(inv.row(i)) for i in range(s.dim, ambient_dim)]
-    if not proj_rows:
-        return _made(0, ambient_dim, p, ()), 0
-    return Matrix.from_rows(proj_rows, p, cols=ambient_dim), q
+    p, n = s.modulus, ambient_dim
+    pivots = rref(s.basis).pivots
+    complement = [c for c in range(n) if c not in pivots]
+    q = len(complement)
+    out = [0] * (q * n)
+    for j, c in enumerate(complement):
+        out[j * n + c] = 1
+        for i, pc in enumerate(pivots):
+            out[j * n + pc] = -s.basis.entries[i * n + c] % p
+    return _made(q, n, p, tuple(out)), q
 
 
 @cache

@@ -5,12 +5,14 @@ fix the library, never the bound.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 
 import pytest
 
-from commacat import acceptance
+from commacat import acceptance, cli, core
+from commacat.acceptance import _arrow_context
 
 KEYS = (
     "abelian-universality",
@@ -30,9 +32,19 @@ SELFTEST_SEED0_SHA256 = (
 
 
 @pytest.fixture(scope="module")
-def battery():
-    results = acceptance.run_all(seed=0)
-    return {res.key: res for res in results}
+def selftest_report(tmp_path_factory):
+    """The seed-0 selftest report, from one in-process CLI run: the
+    criteria below read their verdicts from it, and the byte-identity test
+    compares it with a run in a fresh interpreter."""
+    out = tmp_path_factory.mktemp("selftest") / "seed0.json"
+    code = cli.main(["selftest", "--seed", "0", "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def battery(selftest_report):
+    _, blob = selftest_report
+    return {c["key"]: c for c in json.loads(blob)["results"]["criteria"]}
 
 
 def test_battery_covers_every_key(battery):
@@ -41,28 +53,58 @@ def test_battery_covers_every_key(battery):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_criterion(battery, key):
+    # a criterion over its runtime bound records that as a failure
     res = battery[key]
-    verdict = "PASS" if res.passed else "FAIL"
-    print(f"[{verdict}] {key}: {res.details}")
-    if res.budget_seconds:
-        assert res.elapsed <= res.budget_seconds, (
-            f"{key} took {res.elapsed:.1f}s, bound {res.budget_seconds:.0f}s")
-    assert res.passed, f"{key} failed: {res.failures}"
+    verdict = "PASS" if res["passed"] else "FAIL"
+    print(f"[{verdict}] {key}: {res['work']}")
+    assert res["passed"], f"{key} failed: {res['failures']}"
 
 
-def test_selftest_reports_are_byte_identical(tmp_path):
-    # criterion 9: the full battery through the CLI, twice, must not
-    # differ in a single byte
-    blobs = []
-    for name in ("first.json", "second.json"):
-        out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "commacat.cli", "selftest",
-             "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        blobs.append(out.read_bytes())
-    verdict = "PASS" if blobs[0] == blobs[1] else "FAIL"
-    print(f"[{verdict}] selftest-determinism: {len(blobs[0])} bytes")
-    assert blobs[0] == blobs[1]
-    assert hashlib.sha256(blobs[0]).hexdigest() == SELFTEST_SEED0_SHA256
+def test_selftest_reports_are_byte_identical(selftest_report, tmp_path):
+    # criterion 9: the full battery through the CLI, in process and in a
+    # fresh interpreter, must not differ in a single byte
+    code, first = selftest_report
+    assert code == 0
+    out = tmp_path / "second.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "commacat.cli", "selftest",
+         "--seed", "0", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    second = out.read_bytes()
+    verdict = "PASS" if first == second else "FAIL"
+    print(f"[{verdict}] selftest-determinism: {len(first)} bytes")
+    assert first == second
+    assert hashlib.sha256(first).hexdigest() == SELFTEST_SEED0_SHA256
+
+
+VERIFIERS = {name: getattr(core, name) for name in
+             ("verify_kernel_universal", "verify_cokernel_universal")}
+
+
+def _checked_pairs(monkeypatch, draw: bool):
+    """The (source, target) pairs that abelian_universality(0) and
+    verify_category hand to the kernel and cokernel verifiers.  With draw
+    set, each verifier first draws from the rng it is handed, as the rank
+    fallback does."""
+    seen = []
+
+    def wrap(verify):
+        def wrapped(inst, m, obj, arrow, rng):
+            seen.append((m.source, m.target))
+            if draw:
+                rng.random()
+            return verify(inst, m, obj, arrow, rng)
+        return wrapped
+
+    for module in (acceptance, core):
+        for name, verify in VERIFIERS.items():
+            monkeypatch.setattr(module, name, wrap(verify))
+    acceptance.abelian_universality(0)
+    core.verify_category(_arrow_context(), samples=12, seed=3)
+    return seen
+
+
+def test_verifier_draws_do_not_move_the_sampled_morphisms(monkeypatch):
+    assert _checked_pairs(monkeypatch, draw=True) == \
+        _checked_pairs(monkeypatch, draw=False)

@@ -178,17 +178,33 @@ def test_constant_functor_flags_depend_on_the_value():
     assert report.additivity.violations != ()
 
 
-def test_additivity_follows_the_kind():
+def _one_of_each_kind():
     specs = [identity_functor(VECT), zero_functor(REP, VECT),
              hom_from(REP, P0, VECT), hom_into(REP, P0, VECT),
              eval_vertex(REP, 0, VECT), arrow_kernel(REP, 0, VECT),
              arrow_cokernel(REP, 0, VECT), tensor(VECT, 2), one_plus(VECT),
              constant(VECT, VECT, 0), constant(VECT, VECT, 1)]
     assert {f.kind for f in specs} == set(KINDS)
-    for f in specs:
+    return specs
+
+
+def test_additivity_follows_the_kind():
+    for f in _one_of_each_kind():
         observed = not check_functor(f, seed=0).additivity.violated
         assert f.additive == observed, (f.kind, f.params)
     assert "additive" not in {fl.name for fl in dataclasses.fields(FunctorSpec)}
+
+
+def test_variance_follows_the_kind():
+    for f in _one_of_each_kind():
+        assert f.contravariant == (f.kind == "hom_into"), f.kind
+    assert "contravariant" not in {fl.name for fl in dataclasses.fields(FunctorSpec)}
+    # a covariant kind cannot be declared contravariant, nor hom_into
+    # covariant
+    with pytest.raises(TypeError):
+        FunctorSpec("identity", VECT, VECT, contravariant=True)
+    with pytest.raises(TypeError):
+        dataclasses.replace(hom_into(VECT, 1, VECT), contravariant=False)
 
 
 def test_functor_images_are_valid_morphisms():

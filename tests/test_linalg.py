@@ -1,6 +1,8 @@
 """Exact linear algebra over prime fields: frozen small examples plus
 randomized structural laws."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from commacat.linalg import (
     enumerate_subspaces,
     hstack,
     image_basis,
-    inverse,
     kernel_basis,
     kron,
     quotient_map,
@@ -179,12 +180,6 @@ def test_solve_left_round_trip():
     assert y.mul(m) == probe.mul(m)
 
 
-def test_inverse():
-    m = mat2([[1, 1], [0, 1]])
-    assert inverse(m).mul(m) == Matrix.identity(2, 2)
-    assert inverse(mat2([[1, 1], [1, 1]])) is None
-
-
 # -- subspaces -----------------------------------------------------------
 
 
@@ -215,6 +210,62 @@ def test_quotient_map_kills_exactly_the_subspace():
     for i in range(s.dim):
         assert not any(proj.mul(Matrix.build(3, 1, 2, s.basis.row(i))).entries)
     assert rank(proj) == 1
+
+
+def _completion_quotient(n, s):
+    """The quotient map by completion: put the unit vectors of the
+    non-pivot columns after the basis of s, invert that square matrix by a
+    solve, and keep the rows past dim s."""
+    p = s.modulus
+    pivots = rref(s.basis).pivots
+    units = [[int(k == c) for k in range(n)] for c in range(n) if c not in pivots]
+    rows = [s.basis.row(i) for i in range(s.dim)] + units
+    completion = Matrix.from_rows(rows, p, cols=n).transpose()
+    inv = solve(completion, Matrix.identity(n, p))
+    return Matrix.from_rows([inv.row(i) for i in range(s.dim, n)], p, cols=n), len(units)
+
+
+def test_quotient_map_matches_the_completion_inverse():
+    subspaces = [s for p, top in ((2, 5), (3, 4), (5, 3)) for n in range(top + 1)
+                 for s in enumerate_subspaces(n, p)]
+    assert len(subspaces) == 789
+    for s in subspaces:
+        proj, q = quotient_map(s.ambient_dim, s)
+        want, want_q = _completion_quotient(s.ambient_dim, s)
+        assert (proj, q) == (want, want_q), s
+        assert hash(proj) == hash(want)
+
+
+def _kept_rows_subspace(n, p, rows):
+    """Subspace.from_rows rebuilt row by row: reduce, then rebuild the
+    nonzero rows through the checked constructor."""
+    r = rref(Matrix.from_rows(rows, p, cols=n))
+    return Subspace(n, Matrix.from_rows([r.matrix.row(i) for i in range(r.rank)],
+                                        p, cols=n))
+
+
+def test_subspace_from_rows_matches_the_kept_rows():
+    rng = random.Random(2024)
+    cases = [(3, 2, []), (0, 3, []), (0, 5, [[], []]), (4, 3, [[0] * 4] * 3),
+             (3, 5, [[1, 2, 3], [2, 4, 6], [0, 0, 0]])]
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(6)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(6))]
+        if rows and rng.random() < 0.5:
+            # rank-deficient: a combination of rows already there, or zero
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randrange(p)
+            rows.insert(rng.randrange(len(rows) + 1),
+                        [(x + c * y) % p for x, y in zip(a, b)])
+            rows.append([0] * n)
+        cases.append((n, p, rows))
+    for n, p, rows in cases:
+        got = Subspace.from_rows(n, p, rows)
+        want = _kept_rows_subspace(n, p, rows)
+        assert got == want, (n, p, rows)
+        assert hash(got) == hash(want)
+        assert hash(got.basis) == hash(want.basis)
 
 
 @settings(max_examples=25)
