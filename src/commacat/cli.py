@@ -29,7 +29,6 @@ from .core import (
     verify_category,
     verify_cokernel_universal,
     verify_kernel_universal,
-    verify_ses,
 )
 from .counterexample import run_counterexample
 from .errors import (
@@ -188,17 +187,16 @@ def _cmd_kclass(ws: Workspace, args, seed: int):
     vec = cls(home, x)
     results = {"home": home_name, "class": list(vec)}
     if isinstance(home, CommaCategory):
+        # decompose verifies its witness with short_exact, which raises;
+        # the always-empty field keeps the pinned report digests
         a_cls, b_cls, witness = decompose(home, x)
-        violations = verify_ses(home, witness.sub, witness.quot)
         results["decomposition"] = {
             "left_class": list(a_cls),
             "right_class": list(b_cls),
             "witness_sub": serialize_morphism(home, witness.sub),
             "witness_quot": serialize_morphism(home, witness.quot),
-            "witness_violations": list(violations),
+            "witness_violations": [],
         }
-        if violations:
-            return 1, results, {"checks": 1}
     return 0, results, {"checks": 1}
 
 

@@ -622,9 +622,12 @@ def _comma_subobjects(cat: CommaCategory, x: CommaObject) -> tuple:
 
 
 def component_sequences(cat: CommaCategory, ses: ShortExactSequence):
-    """Split a short exact sequence of triples into its two component
-    sequences, revalidating each in its own category."""
-    return (short_exact(cat.left, ses.sub.data[0], ses.quot.data[0]),
+    """Split a short exact sequence 0 -> S -> M -> Q -> 0 of triples into
+    its two component sequences, revalidating each in its own category.
+    When left components run backwards the left one is Q.a -> M.a -> S.a."""
+    left = (ses.quot.data[0], ses.sub.data[0]) if cat.left_reversed \
+        else (ses.sub.data[0], ses.quot.data[0])
+    return (short_exact(cat.left, *left),
             short_exact(cat.right, ses.sub.data[1], ses.quot.data[1]))
 
 

@@ -271,6 +271,7 @@ class Subspace:
 
     The RREF basis is canonical, so dataclass equality and hashing decide
     subspace equality, and sorting by (dim, basis entries) is reproducible.
+    pivots, kept from the RREF check, is not a field.
     """
 
     ambient_dim: int
@@ -282,6 +283,7 @@ class Subspace:
         r = rref(self.basis)
         if r.matrix != self.basis or r.rank != self.basis.rows:
             raise ShapeError("subspace basis must be a full-rank RREF matrix")
+        _set(self, "pivots", r.pivots)
 
     @property
     def dim(self) -> int:
@@ -303,7 +305,7 @@ class Subspace:
         v = [int(x) % p for x in vec]
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
-        for i, c in enumerate(rref(self.basis).pivots):
+        for i, c in enumerate(self.pivots):
             if v[c]:
                 f = v[c]
                 row = self.basis.row(i)
@@ -370,13 +372,12 @@ def quotient_map(ambient_dim: int, s: Subspace):
     if s.ambient_dim != ambient_dim:
         raise ShapeError("ambient mismatch")
     p, n = s.modulus, ambient_dim
-    pivots = rref(s.basis).pivots
-    complement = [c for c in range(n) if c not in pivots]
+    complement = [c for c in range(n) if c not in s.pivots]
     q = len(complement)
     out = [0] * (q * n)
     for j, c in enumerate(complement):
         out[j * n + c] = 1
-        for i, pc in enumerate(pivots):
+        for i, pc in enumerate(s.pivots):
             out[j * n + pc] = -s.basis.entries[i * n + c] % p
     return _made(q, n, p, tuple(out)), q
 

@@ -1,5 +1,6 @@
-"""The sampled-cone verifiers, kept as the reference that the rank-identity
-verifiers of commacat.core are compared against.
+"""The sampled-cone verifiers and the solved two-sided inverse, kept as the
+references that the rank-identity verifiers and the componentwise iso test
+of commacat.core are compared against.
 
 At each test object the oracle builds the basis of the cones that m kills,
 samples a few of them, solves for their factorization through the
@@ -8,7 +9,11 @@ verifiers: the candidate, the source or target of m, every simple and one
 sampled object.
 """
 
+from typing import Optional
+
 from commacat.core import (
+    CategoryInstance,
+    Mor,
     _combine,
     _hom_action,
     try_through_epi,
@@ -82,3 +87,17 @@ def oracle_cokernel_universal(inst, m, cobj, cmor, rng) -> list:
         lambda h: try_through_epi(inst, cmor, h),
         lambda u: inst.compose(u, cmor),
         "cokernel", "a cocone killing m")
+
+
+def inverse_of(inst: CategoryInstance, m: Mor) -> Optional[Mor]:
+    """Two-sided inverse of m, or None when m is not invertible."""
+    try:
+        u = try_through_epi(inst, m, inst.identity(m.source))
+    except ExactnessViolation:
+        # left inverses exist but are not unique, so m is not epi
+        return None
+    if u is None:
+        return None
+    if inst.compose(m, u) != inst.identity(m.target):
+        return None
+    return u

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commacat.cocomma import CoCommaCategory
-from commacat.comma import verify_comma_abelian
+from commacat.comma import component_sequences, verify_comma_abelian
 from commacat.core import (
     Mor,
     all_homs,
     random_hom,
+    subobject_ses,
     verify_biproduct,
     verify_cokernel_universal,
     verify_induced_iso,
     verify_kernel_universal,
+    verify_ses,
 )
 from commacat.errors import CapabilityError
 from commacat.functors import (
@@ -26,7 +28,7 @@ from commacat.functors import (
     hom_into,
     identity_functor,
 )
-from commacat.instances import FinVect
+from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.kgroup import decompose
 from commacat.linalg import Matrix
 
@@ -184,3 +186,26 @@ def test_biproduct():
 def test_verify_cocomma_abelian_clean():
     report = verify_comma_abelian(CAT, samples=8)
     assert report.violations == ()
+
+
+@pytest.mark.parametrize("p, max_dim", ((2, 3), (3, 2)))
+@pytest.mark.parametrize("leg", ("dual", "framed"))
+def test_component_sequences_reverse_the_left_sequence(p, max_dim, leg):
+    """A subobject sequence 0 -> S -> M -> Q -> 0 of triples splits into
+    0 -> Q.a -> M.a -> S.a -> 0 on the left and 0 -> S.b -> M.b -> Q.b -> 0
+    on the right, both short exact."""
+    vect = FinVect(p)
+    if leg == "dual":
+        g = hom_into(vect, 1, vect)
+    else:
+        rep = Rep(ARROW_QUIVER, p)
+        g = hom_into(rep, rep.obj((1, 1), [Matrix.build(1, 1, p, (1,))]), vect)
+    cat = CoCommaCategory(identity_functor(vect), g)
+    for x in cat.enumerate_objects(max_dim):
+        for s in cat.enumerate_subobjects(x):
+            ses = subobject_ses(cat, s)
+            left, right = component_sequences(cat, ses)
+            assert (left.sub, left.quot) == (ses.quot.data[0], ses.sub.data[0])
+            assert verify_ses(cat.left, left.sub, left.quot) == []
+            assert (right.sub, right.quot) == (ses.sub.data[1], ses.quot.data[1])
+            assert verify_ses(cat.right, right.sub, right.quot) == []

@@ -13,7 +13,6 @@ from commacat.core import (
     hom_dim,
     image,
     coimage,
-    inverse_of,
     random_hom,
     short_exact,
     solve_right,
@@ -37,7 +36,7 @@ from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.linalg import Matrix, rank
 from commacat.core import Mor
 
-from cone_oracle import hom_kernel
+from cone_oracle import hom_kernel, inverse_of
 
 VECT = FinVect(2)
 REP = Rep(ARROW_QUIVER, 2)

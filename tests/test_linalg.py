@@ -130,13 +130,23 @@ def test_rank_nullity(m):
 
 @given(matrices(modulus=5), st.randoms(use_true_random=False))
 def test_rref_invariant_under_row_operations(m, rng):
-    """Left multiplication by an invertible matrix never changes the rref."""
-    p = m.modulus
-    while True:
-        g = Matrix.build(m.rows, m.rows, p,
-                         [rng.randrange(p) for _ in range(m.rows * m.rows)])
-        if rank(g) == m.rows:
-            break
+    """Left multiplication by an invertible matrix never changes the rref.
+
+    The invertible matrix is drawn as g = P L U: P a permutation, L unit
+    lower triangular, U upper triangular with a nonzero diagonal.  Every
+    invertible matrix has this form, and the number of draws is bounded.
+    """
+    p, n = m.modulus, m.rows
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pm = Matrix.build(n, n, p, [int(perm[i] == j) for i in range(n) for j in range(n)])
+    lower = Matrix.build(n, n, p, [1 if i == j else rng.randrange(p) if j < i else 0
+                                   for i in range(n) for j in range(n)])
+    upper = Matrix.build(n, n, p, [rng.randrange(1, p) if i == j
+                                   else rng.randrange(p) if j > i else 0
+                                   for i in range(n) for j in range(n)])
+    g = pm.mul(lower).mul(upper)
+    assert rank(g) == n
     assert rref(g.mul(m)).matrix == rref(m).matrix
 
 
