@@ -372,23 +372,12 @@ class CommaCategory(CategoryInstance):
         return Mor(x, y, (self._left_view.build_from_flat(x.a, y.a, fl),
                           self.right.build_from_flat(x.b, y.b, gl)))
 
-    def factor_through_mono(self, mono: Mor, m: Mor):
-        """The u with mono o u = m, solved once per component.
-
-        Needs additive legs and both components of mono mono (in the left
-        view: epi in the left category when left components run backwards):
-        each component factorization is then unique, so one check of its
-        square decides, whatever the exactness flags (true ones make it
-        hold by cancellation; see README).  Otherwise the hom-space solve
-        decides.
-        """
-        self._own(mono)
-        self._own(m)
-        lv = self._left_view
-        if not (self.additive and lv.is_mono(mono.data[0])
-                and self.right.is_mono(mono.data[1])):
-            return super().factor_through_mono(mono, m)
-        fa = lv.factor_through_mono(mono.data[0], m.data[0])
+    def _factor_mono(self, mono: Mor, m: Mor):
+        """Solved once per component.  Over additive legs with every
+        component of mono mono (in the left view), whatever the exactness
+        flags, each component factorization is unique, so one check of its
+        square decides (true flags make it hold by cancellation; README)."""
+        fa = self._left_view.factor_through_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_mono(mono.data[1], m.data[1])
         try:  # without the exactness that cancels it, the square can fail
@@ -397,16 +386,10 @@ class CommaCategory(CategoryInstance):
         except ValueError:
             return None
 
-    def factor_through_epi(self, epi: Mor, m: Mor):
+    def _factor_epi(self, epi: Mor, m: Mor):
         """The u with u o epi = m, solved once per component; the mirror of
-        factor_through_mono, with both components of epi epi."""
-        self._own(epi)
-        self._own(m)
-        lv = self._left_view
-        if not (self.additive and lv.is_epi(epi.data[0])
-                and self.right.is_epi(epi.data[1])):
-            return super().factor_through_epi(epi, m)
-        fa = lv.factor_through_epi(epi.data[0], m.data[0])
+        _factor_mono, with both components of epi epi."""
+        fa = self._left_view.factor_through_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
             self.right.factor_through_epi(epi.data[1], m.data[1])
         try:  # without the exactness that cancels it, the square can fail

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .errors import ExactnessViolation
+from .errors import ExactnessViolation, ForeignMorphism
 from .linalg import BudgetExceeded, Matrix, rank, solve
 
 
@@ -174,26 +174,47 @@ class CategoryInstance(abc.ABC):
     def scale(self, c: int, m: Mor) -> Mor:
         return _combine(self, m.source, m.target, (m,), (c,))
 
+    def _own(self, m: Mor) -> None:
+        """Raise ForeignMorphism when m is not a morphism of this instance;
+        instances override it with a check of their carrier."""
+
     def factor_through_mono(self, mono: Mor, m: Mor) -> Optional[Mor]:
         """The u with mono o u = m, or None when m does not factor through
         mono.
 
-        Raises ExactnessViolation when a factorization exists but is not
-        unique.  The default solves one linear system over the whole hom
-        space Hom(m.source, mono.source); instances override it with a
-        solve per component where that gives the same answer.
+        Raises ForeignMorphism when m and mono end at different objects,
+        and ExactnessViolation when a factorization exists but is not
+        unique.  An additive instance solves per component through
+        _factor_mono when mono is mono; otherwise one linear system over
+        the whole hom space Hom(m.source, mono.source) decides.
         """
+        self._own(mono)
+        self._own(m)
+        if mono.target != m.target:
+            raise ForeignMorphism("endpoints do not match for composition")
+        if self.additive and self.is_mono(mono):
+            return self._factor_mono(mono, m)
         return try_solve_left(self, m.source, mono.source, [(mono, m)])
 
     def factor_through_epi(self, epi: Mor, m: Mor) -> Optional[Mor]:
         """The u with u o epi = m, or None when m does not factor through
-        epi.
+        epi; the mirror of factor_through_mono, for epi.source ==
+        m.source."""
+        self._own(epi)
+        self._own(m)
+        if epi.source != m.source:
+            raise ForeignMorphism("endpoints do not match for composition")
+        if self.additive and self.is_epi(epi):
+            return self._factor_epi(epi, m)
+        return try_solve_right(self, epi.target, m.target, [(epi, m)])
 
-        Raises ExactnessViolation when a factorization exists but is not
-        unique.  The default solves one linear system over the whole hom
-        space Hom(epi.target, m.target); instances override it with a
-        solve per component where that gives the same answer.
-        """
+    def _factor_mono(self, mono: Mor, m: Mor) -> Optional[Mor]:
+        """factor_through_mono for a mono with the same target as m; the
+        default is the hom-space solve, instances solve per component."""
+        return try_solve_left(self, m.source, mono.source, [(mono, m)])
+
+    def _factor_epi(self, epi: Mor, m: Mor) -> Optional[Mor]:
+        """factor_through_epi for an epi with the same source as m."""
         return try_solve_right(self, epi.target, m.target, [(epi, m)])
 
     # -- abelian structure ----------------------------------------------
@@ -397,16 +418,11 @@ def all_homs(inst: CategoryInstance, x, y, max_count: int) -> Iterator[Mor]:
         yield _combine(inst, x, y, basis, coords)
 
 
-def random_hom(inst: CategoryInstance, rng: random.Random, x, y,
-               nonzero: bool = False) -> Mor:
+def random_hom(inst: CategoryInstance, rng: random.Random, x, y) -> Mor:
     basis = inst.hom_basis(x, y)
     if not basis:
         return inst.zero_morphism(x, y)
-    for _ in range(32):
-        coords = [rng.randrange(inst.field) for _ in basis]
-        if not nonzero or any(coords):
-            return _combine(inst, x, y, basis, coords)
-    return basis[0]
+    return _combine(inst, x, y, basis, [rng.randrange(inst.field) for _ in basis])
 
 
 # -- derived abelian constructions --------------------------------------

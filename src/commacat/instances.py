@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import graphlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cache
 
-from .core import NOT_UNIQUE, CategoryInstance, Mor, Subobject
+from .core import CategoryInstance, Mor, Subobject
 from .errors import ExactnessViolation, ForeignMorphism
 from .linalg import (
     DEFAULT_VECTOR_BUDGET,
@@ -135,33 +136,13 @@ class FinVect(CategoryInstance):
     def mor_from_flat(self, x, y, flat: tuple) -> Mor:
         return Mor(x, y, Matrix.build(y, x, self.field, flat))
 
-    def factor_through_mono(self, mono: Mor, m: Mor):
-        """The u with mono o u = m from one solve of the matrix equation."""
-        self._own(mono)
-        self._own(m)
-        if mono.target != m.target:
-            raise ForeignMorphism("endpoints do not match for composition")
+    def _factor_mono(self, mono: Mor, m: Mor):
         u = solve(mono.data, m.data)
-        if u is None:
-            return None
-        # u -> mono o u is injective on Hom(m.source, mono.source) unless
-        # mono has a kernel and that hom space is nonzero
-        if m.source and not self.is_mono(mono):
-            raise ExactnessViolation(NOT_UNIQUE)
-        return Mor(m.source, mono.source, u)
+        return None if u is None else Mor(m.source, mono.source, u)
 
-    def factor_through_epi(self, epi: Mor, m: Mor):
-        """The u with u o epi = m from one solve of the matrix equation."""
-        self._own(epi)
-        self._own(m)
-        if epi.source != m.source:
-            raise ForeignMorphism("endpoints do not match for composition")
+    def _factor_epi(self, epi: Mor, m: Mor):
         u = solve_left(epi.data, m.data)
-        if u is None:
-            return None
-        if m.target and not self.is_epi(epi):
-            raise ExactnessViolation(NOT_UNIQUE)
-        return Mor(epi.target, m.target, u)
+        return None if u is None else Mor(epi.target, m.target, u)
 
     # abelian structure
 
@@ -327,6 +308,9 @@ class Rep(CategoryInstance):
 
     def enumerate_objects(self, max_total_dim: int):
         n = self.quiver.vertices
+        # stars and bars: C(n + d, n) dimension vectors of total <= d
+        if math.comb(n + max_total_dim, n) > self.budget.max_vectors:
+            raise BudgetExceeded("dimension-vector sweep exceeds vector budget")
         for total in range(max_total_dim + 1):
             for dims in _dim_vectors(n, total):
                 combo_count = 1
@@ -457,35 +441,16 @@ class Rep(CategoryInstance):
     def build_from_flat(self, x, y, flat: tuple) -> Mor:
         return Mor(x, y, self._vertex_matrices(x, y, flat))
 
-    def factor_through_mono(self, mono: Mor, m: Mor):
-        """The u with mono o u = m, solved vertex by vertex.
-
-        With every vertex map of mono injective the vertex solutions are
-        unique and intertwine; otherwise the hom-space solve decides.
-        """
-        self._own(mono)
-        self._own(m)
-        if not self.is_mono(mono):
-            return super().factor_through_mono(mono, m)
-        if mono.target != m.target:
-            raise ForeignMorphism("endpoints do not match for composition")
+    def _factor_mono(self, mono: Mor, m: Mor):
+        """Solved vertex by vertex: injective vertex maps make the vertex
+        solutions unique, and cancelling them shows they intertwine."""
         parts = [solve(a, b) for a, b in zip(mono.data, m.data)]
         if any(u is None for u in parts):
             return None
         return Mor(m.source, mono.source, tuple(parts))
 
-    def factor_through_epi(self, epi: Mor, m: Mor):
-        """The u with u o epi = m, solved vertex by vertex.
-
-        With every vertex map of epi surjective the vertex solutions are
-        unique and intertwine; otherwise the hom-space solve decides.
-        """
-        self._own(epi)
-        self._own(m)
-        if not self.is_epi(epi):
-            return super().factor_through_epi(epi, m)
-        if epi.source != m.source:
-            raise ForeignMorphism("endpoints do not match for composition")
+    def _factor_epi(self, epi: Mor, m: Mor):
+        """Solved vertex by vertex, the mirror of _factor_mono."""
         parts = [solve_left(a, b) for a, b in zip(epi.data, m.data)]
         if any(u is None for u in parts):
             return None

@@ -151,6 +151,27 @@ def test_exit_2_on_exhausted_budget():
     run_cli("validate", "--budget", "0", check_code=2)
 
 
+def test_exit_2_on_a_quiver_with_too_many_dimension_vectors(tmp_path):
+    """A 200-vertex path quiver has C(202, 2) dimension vectors of total
+    <= 2, past a budget of 1,000, so the functor audit refuses its sweep
+    within seconds instead of running through them."""
+    n = 200
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"wide": {"kind": "quiver", "vertices": n,
+                                "arrows": [[i, i + 1] for i in range(n - 1)]}},
+        "functors": {"id": {"kind": "identity", "category": "wide"}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(CMD + ["validate", "--spec", str(path),
+                                 "--budget", "1000"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "dimension-vector sweep" in proc.stderr
+
+
 def test_exit_3_on_negative_budget():
     run_cli("validate", "--budget", "-1", check_code=3)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commacat.core import (
+    _combine,
     all_homs,
     factor_between,
     hom_dim,
@@ -29,7 +30,7 @@ from commacat.core import (
 )
 from commacat.cocomma import CoCommaCategory
 from commacat.comma import CommaCategory
-from commacat.errors import ExactnessViolation
+from commacat.errors import ExactnessViolation, ForeignMorphism
 from commacat.functors import hom_into, identity_functor
 from commacat.counterexample import bundled_ses
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
@@ -148,6 +149,19 @@ def test_wrong_cokernel_is_rejected(m, bad, message):
     assert message in violations
 
 
+def _nonzero_hom(cat, rng, x, y) -> Mor:
+    """A random morphism x -> y, redrawn up to 32 times until its
+    coordinates are not all zero, else the first basis element."""
+    basis = cat.hom_basis(x, y)
+    if not basis:
+        return cat.zero_morphism(x, y)
+    for _ in range(32):
+        coords = [rng.randrange(cat.field) for _ in basis]
+        if any(coords):
+            return _combine(cat, x, y, basis, coords)
+    return basis[0]
+
+
 def _hom_kernel_contexts(p: int) -> dict:
     vect = FinVect(p)
     rep = Rep(ARROW_QUIVER, p)
@@ -171,8 +185,8 @@ def test_hom_kernel_matches_brute_force(name, p):
     objs = list(cat.enumerate_objects(2))
     rng = random.Random(p)
     for x, y, z in itertools.product(objs, repeat=3):
-        post = random_hom(cat, rng, y, z, nonzero=True)
-        pre = random_hom(cat, rng, z, x, nonzero=True)
+        post = _nonzero_hom(cat, rng, y, z)
+        pre = _nonzero_hom(cat, rng, z, x)
         for apply, zero in (
                 (lambda h: cat.compose(post, h), cat.zero_morphism(x, z)),
                 (lambda h: cat.compose(h, pre), cat.zero_morphism(z, y))):
@@ -183,6 +197,29 @@ def test_hom_kernel_matches_brute_force(name, p):
                 == len(basis)
             killed = sum(apply(h) == zero for h in all_homs(cat, x, y, 10 ** 4))
             assert p ** len(basis) == killed
+
+
+@pytest.mark.parametrize("name", ("finvect", "rep-arrow-quiver", "arrow",
+                                  "framed-cocomma"))
+def test_factorization_refuses_mismatched_endpoints(name):
+    """m must end where the mono ends (start where the epi starts), on the
+    per-component path (an identity) and on the hom-space path (a zero
+    endomorphism of a nonzero object).  The pairs include the F_2 arrow
+    comma's x = (k, k, 1) and x2 = (k, k, 0), where m: 0 -> x2 once
+    factored through the identity of x."""
+    cat = _hom_kernel_contexts(2)[name]
+    z = cat.zero_object()
+    objs = [x for x in cat.enumerate_objects(2) if not cat.is_zero_object(x)]
+    for x, x2 in itertools.permutations(objs[:5], 2):
+        for arrow in (cat.identity(x), cat.zero_morphism(x, x)):
+            for m in (cat.identity(x2), cat.zero_morphism(z, x2)):
+                with pytest.raises(ForeignMorphism,
+                                   match="endpoints do not match"):
+                    cat.factor_through_mono(arrow, m)
+            for m in (cat.identity(x2), cat.zero_morphism(x2, z)):
+                with pytest.raises(ForeignMorphism,
+                                   match="endpoints do not match"):
+                    cat.factor_through_epi(arrow, m)
 
 
 def test_biproduct_laws():

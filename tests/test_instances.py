@@ -35,7 +35,8 @@ def test_finvect_basics():
 
 
 def test_finvect_kernel_cokernel_dims():
-    m = random_hom(VECT, random.Random(3), 3, 2, nonzero=True)
+    m = random_hom(VECT, random.Random(3), 3, 2)
+    assert m != VECT.zero_morphism(3, 2)
     k, kmor = VECT.kernel(m)
     c, cmor = VECT.cokernel(m)
     r = 3 - k
@@ -127,6 +128,13 @@ def test_rep_enumerates_a_quiver_with_many_vertices():
     vertex, so a 1,200-vertex quiver enumerates its zero object."""
     zero = next(iter(Rep(Quiver(1200, ()), 2).enumerate_objects(0)))
     assert zero.dims == (0,) * 1200
+
+
+def test_rep_refuses_more_dimension_vectors_than_the_budget():
+    """C(1202, 2) dimension vectors of total <= 2 exceed the default
+    budget, so the sweep refuses before its first object."""
+    with pytest.raises(BudgetExceeded, match="dimension-vector sweep"):
+        next(iter(Rep(Quiver(1200, ()), 2).enumerate_objects(2)))
 
 
 @pytest.mark.parametrize("n", range(6))
