@@ -43,7 +43,7 @@ from .core import (
 from .errors import CapabilityError, ExactnessViolation, ForeignMorphism
 from .functors import FunctorSpec, apply_on_morphism, apply_on_object
 from .instances import DEFAULT_BUDGET, Budget
-from .linalg import kernel_basis
+from .linalg import hash_once, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,11 @@ class _Opposite:
     def build_from_flat(self, x, y, flat: tuple) -> Mor:
         return self.cat.build_from_flat(y, x, flat)
 
-    def factor_through_mono(self, mono: Mor, m: Mor):
-        return self.cat.factor_through_epi(mono, m)
+    def _factor_mono(self, mono: Mor, m: Mor):
+        return self.cat._factor_epi(mono, m)
 
-    def factor_through_epi(self, epi: Mor, m: Mor):
-        return self.cat.factor_through_mono(epi, m)
+    def _factor_epi(self, epi: Mor, m: Mor):
+        return self.cat._factor_mono(epi, m)
 
     def kernel(self, m: Mor):
         return self.cat.cokernel(m)
@@ -141,6 +141,7 @@ class _Opposite:
         return self.cat.kernel_class(m)
 
 
+@hash_once
 @dataclass(frozen=True)
 class CommaCategory(CategoryInstance):
     """Category of triples (a, b, alpha: F a -> G b) over covariant F, G.
@@ -372,14 +373,21 @@ class CommaCategory(CategoryInstance):
         return Mor(x, y, (self._left_view.build_from_flat(x.a, y.a, fl),
                           self.right.build_from_flat(x.b, y.b, gl)))
 
+    def _own_components(self, m: Mor) -> None:
+        self.left._own(m.data[0])
+        self.right._own(m.data[1])
+
     def _factor_mono(self, mono: Mor, m: Mor):
-        """Solved once per component.  Over additive legs with every
-        component of mono mono (in the left view), whatever the exactness
-        flags, each component factorization is unique, so one check of its
-        square decides (true flags make it hold by cancellation; README)."""
-        fa = self._left_view.factor_through_mono(mono.data[0], m.data[0])
+        """Solved once per component, through the components' own hooks:
+        factor_through_mono has checked the endpoints and that every
+        component of mono is mono (in the left view).  Over additive legs,
+        whatever the exactness flags, each component factorization is then
+        unique, so one check of its square decides (true flags make it hold
+        by cancellation; README)."""
+        self._own_components(m)
+        fa = self._left_view._factor_mono(mono.data[0], m.data[0])
         gb = None if fa is None else \
-            self.right.factor_through_mono(mono.data[1], m.data[1])
+            self.right._factor_mono(mono.data[1], m.data[1])
         try:  # without the exactness that cancels it, the square can fail
             return None if gb is None else \
                 self.mor(m.source, mono.source, fa, gb)
@@ -389,9 +397,10 @@ class CommaCategory(CategoryInstance):
     def _factor_epi(self, epi: Mor, m: Mor):
         """The u with u o epi = m, solved once per component; the mirror of
         _factor_mono, with both components of epi epi."""
-        fa = self._left_view.factor_through_epi(epi.data[0], m.data[0])
+        self._own_components(m)
+        fa = self._left_view._factor_epi(epi.data[0], m.data[0])
         gb = None if fa is None else \
-            self.right.factor_through_epi(epi.data[1], m.data[1])
+            self.right._factor_epi(epi.data[1], m.data[1])
         try:  # without the exactness that cancels it, the square can fail
             return None if gb is None else \
                 self.mor(epi.target, m.target, fa, gb)

@@ -440,32 +440,45 @@ def coimage(inst: CategoryInstance, m: Mor):
     return inst.cokernel(kmor)
 
 
-def induced_morphism(inst: CategoryInstance, m: Mor):
+def induced_morphism(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = None,
+                     cmor: Optional[Mor] = None):
     """The canonical map coim(m) -> im(m) together with its flanks.
 
     Returns (q, mbar, i) with q the coimage epi, i the image mono, and
-    i o mbar o q == m by the exact solves.  An abelian category needs mbar
-    invertible, which is for the caller to certify (verify_induced_iso).
+    i o mbar o q == m by the exact solves.  The coimage is coker(kmor) and
+    the image ker(cmor), for the kernel and cokernel arrows of m that a
+    caller has built already, or that are built here.  An abelian category
+    needs mbar invertible, which is for the caller to certify
+    (verify_induced_iso).
     """
-    _, q = coimage(inst, m)
-    _, i = image(inst, m)
+    if kmor is None:
+        _, kmor = inst.kernel(m)
+    if cmor is None:
+        _, cmor = inst.cokernel(m)
+    _, q = inst.cokernel(kmor)
+    _, i = inst.kernel(cmor)
     through = solve_through_mono(inst, i, m)       # X -> Im with i o . = m
     mbar = solve_through_epi(inst, q, through)     # CoIm -> Im with . o q = through
     return q, mbar, i
 
 
-def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
-    """Certify coim(m) -> im(m) invertible by componentwise ranks: a map
-    with bijective components is an iso, since in a glued category
+def _iso_violations(inst: CategoryInstance, induced: Callable[[], tuple]) -> list:
+    """Certify the mbar of induced() invertible by componentwise ranks: a
+    map with bijective components is an iso, since in a glued category
     p o F(f) = G(g) o q gives G(g^-1) o p = q o F(f^-1) by functoriality."""
-    violations = []
     try:
-        _, mbar, _ = induced_morphism(inst, m)
+        _, mbar, _ = induced()
     except ExactnessViolation as exc:
         return [f"induced morphism does not exist: {exc}"]
     if not (inst.is_mono(mbar) and inst.is_epi(mbar)):
-        violations.append("induced coimage->image morphism is not invertible")
-    return violations
+        return ["induced coimage->image morphism is not invertible"]
+    return []
+
+
+def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
+    """Certify coim(m) -> im(m) invertible, building the kernel and the
+    cokernel of m for it."""
+    return _iso_violations(inst, lambda: induced_morphism(inst, m))
 
 
 # -- universal-property certification -----------------------------------
@@ -547,6 +560,28 @@ def verify_cokernel_universal(inst: CategoryInstance, m: Mor, cobj, cmor: Mor,
                 _hom_action(inst, m.target, t, lambda h: inst.compose(h, m))),
             "cokernel", cone)
     return violations
+
+
+def certify_morphism(inst: CategoryInstance, m: Mor, rng: random.Random):
+    """Build and certify the kernel and the cokernel of m, and certify the
+    induced coim(m) -> im(m) invertible, in one pass.
+
+    The induced map reads the coimage and the image off the kernel and
+    cokernel arrows built here, so m costs four kernel and cokernel
+    constructions.  Returns ((kobj, kmor), (cobj, cmor), violations), where
+    violations maps "kernel", "cokernel" and "induced", in this order, to
+    what verify_kernel_universal, verify_cokernel_universal and
+    verify_induced_iso would report; the two verifiers draw from rng in
+    the same order as when called one after the other.
+    """
+    kobj, kmor = inst.kernel(m)
+    kernel = verify_kernel_universal(inst, m, kobj, kmor, rng)
+    cobj, cmor = inst.cokernel(m)
+    cokernel = verify_cokernel_universal(inst, m, cobj, cmor, rng)
+    induced = _iso_violations(
+        inst, lambda: induced_morphism(inst, m, kmor, cmor))
+    return (kobj, kmor), (cobj, cmor), {
+        "kernel": kernel, "cokernel": cokernel, "induced": induced}
 
 
 def verify_biproduct(inst: CategoryInstance, x, y) -> list:
@@ -669,11 +704,9 @@ def verify_category(inst: CategoryInstance, samples: int = 24, seed: int = 0,
         x, y = sample_pair()
         m = random_hom(inst, rng, x, y)
         checks += 1
-        kobj, kmor = inst.kernel(m)
-        violations.extend(verify_kernel_universal(inst, m, kobj, kmor, check_rng))
-        cobj, cmor = inst.cokernel(m)
-        violations.extend(verify_cokernel_universal(inst, m, cobj, cmor, check_rng))
-        violations.extend(verify_induced_iso(inst, m))
+        *_, found = certify_morphism(inst, m, check_rng)
+        for v in found.values():
+            violations.extend(v)
 
     for _ in range(3):
         x, y = sample_pair()

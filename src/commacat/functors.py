@@ -21,6 +21,7 @@ from .instances import FinVect, Rep, RepObject
 from .linalg import (
     Matrix,
     block_diag,
+    hash_once,
     image_basis,
     kernel_basis,
     kron,
@@ -33,6 +34,7 @@ from .linalg import (
 _PROBE_DIM = 3
 
 
+@hash_once
 @dataclass(frozen=True)
 class FunctorSpec:
     """A functor between two category instances, with declared behaviour.

@@ -25,6 +25,7 @@ from .linalg import (
     block_diag,
     check_prime,
     enumerate_subspaces,
+    hash_once,
     hstack,
     image_basis,
     kernel_basis,
@@ -36,6 +37,7 @@ from .linalg import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class Budget:
     """Enumeration guard rails; the CLI's --budget overrides max_vectors,
@@ -56,6 +58,7 @@ def _is_int(v) -> bool:
 # -- vector spaces -------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class FinVect(CategoryInstance):
     """Finite dimensional F_p vector spaces; an object is its dimension."""
@@ -190,6 +193,7 @@ class FinVect(CategoryInstance):
 # -- quivers -------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class Quiver:
     """A finite quiver, required acyclic so every representation category
@@ -240,6 +244,7 @@ class RepObject:
     maps: tuple
 
 
+@hash_once
 @dataclass(frozen=True)
 class Rep(CategoryInstance):
     """Representations of a fixed acyclic quiver over F_p."""

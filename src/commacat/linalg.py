@@ -39,6 +39,31 @@ def check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass whose values key caches: the
+    generated field hash is computed on the first call and kept on the
+    instance, so a record is hashed once however often it is looked up.
+    A pickled record leaves the kept hash behind, since the hash of a str
+    field differs between interpreters."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class Matrix:
     """Row-major matrix over F_p with entries stored as reduced ints."""
@@ -56,16 +81,6 @@ class Matrix:
                              or max(self.entries) >= self.modulus):
             bad = next(e for e in self.entries if not 0 <= e < self.modulus)
             raise ShapeError(f"entry {bad} not reduced mod {self.modulus}")
-
-    def __hash__(self) -> int:
-        # matrices key the rref and hom-space caches and sit inside every
-        # morphism and object key, so the entry tuple is hashed once
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.rows, self.cols, self.modulus, self.entries))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     @classmethod
     def build(cls, rows: int, cols: int, modulus: int, entries) -> "Matrix":
@@ -271,7 +286,8 @@ class Subspace:
 
     The RREF basis is canonical, so dataclass equality and hashing decide
     subspace equality, and sorting by (dim, basis entries) is reproducible.
-    pivots, kept from the RREF check, is not a field.
+    pivots, kept from the RREF that checks or builds the basis, is not a
+    field.
     """
 
     ambient_dim: int
@@ -295,10 +311,15 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, modulus: int, row_seq) -> "Subspace":
-        # the nonzero rows of an RREF are its first rank rows
+        # the nonzero rows of an RREF are its first rank rows, a full-rank
+        # RREF with the same pivots, so the check of __post_init__ is moot
         r = rref(Matrix.from_rows(row_seq, modulus, cols=ambient_dim))
         n = ambient_dim
-        return cls(n, _made(r.rank, n, modulus, r.matrix.entries[:r.rank * n]))
+        s = object.__new__(cls)
+        _set(s, "ambient_dim", n)
+        _set(s, "basis", _made(r.rank, n, modulus, r.matrix.entries[:r.rank * n]))
+        _set(s, "pivots", r.pivots)
+        return s
 
     def contains_vector(self, vec) -> bool:
         p = self.modulus

@@ -1,6 +1,8 @@
-"""The sampled-cone verifiers and the solved two-sided inverse, kept as the
-references that the rank-identity verifiers and the componentwise iso test
-of commacat.core are compared against.
+"""The sampled-cone verifiers, the solved two-sided inverse and the
+per-morphism cancellation test, kept as the references that the
+rank-identity verifiers, the componentwise iso test of commacat.core and
+the linear cancellation sweep of the co-comma criterion are compared
+against.
 
 At each test object the oracle builds the basis of the cones that m kills,
 samples a few of them, solves for their factorization through the
@@ -20,7 +22,7 @@ from commacat.core import (
     try_through_mono,
 )
 from commacat.errors import ExactnessViolation
-from commacat.linalg import kernel_basis
+from commacat.linalg import kernel_basis, rank
 
 CONES_PER_OBJECT = 2
 
@@ -101,3 +103,14 @@ def inverse_of(inst: CategoryInstance, m: Mor) -> Optional[Mor]:
     if inst.compose(m, u) != inst.identity(m.target):
         return None
     return u
+
+
+def postcomposition_injective(cat, m, tests) -> bool:
+    """Categorical cancellation: no nonzero cone is killed by m, that is,
+    composing with m on Hom(t, m.source) has full column rank for every t
+    in tests."""
+    for t in tests:
+        action = _hom_action(cat, t, m.source, lambda h: cat.compose(m, h))
+        if rank(action) != action.cols:
+            return False
+    return True

@@ -2,17 +2,27 @@
 the public constructors.  Every such result must still pass those checks,
 and the public constructors must still refuse bad input.  Also: each
 instance's flat_len agrees with counting the coordinates of a zero
-morphism, the default it replaces."""
+morphism, the default it replaces; Subspace.from_rows, which keeps the
+RREF it reads its basis off, agrees with the checked Subspace; and a
+record that keeps its hash agrees with an equal record that has not been
+hashed yet."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commacat.cocomma import CoCommaCategory
+from commacat.comma import CommaCategory
 from commacat.core import CategoryInstance
+from commacat.functors import hom_into, identity_functor
+from commacat.instances import Budget, FinVect, Quiver, Rep
 from commacat.linalg import (
     Matrix,
     ShapeError,
+    Subspace,
     block_diag,
     hstack,
     kernel_basis,
@@ -125,3 +135,62 @@ def test_flat_len_counts_zero_morphism_coordinates(name, p):
             expected = len(cat.mor_flat(cat.zero_morphism(x, y)))
             assert cat.flat_len(x, y) == expected
             assert CategoryInstance.flat_len(cat, x, y) == expected
+
+
+def _row_sets(rng, p):
+    """Seeded row sets of width 0 to 4: the empty set, a set with a zero
+    row and a repeated row, and random ones."""
+    yield 3, []
+    yield 0, [[], []]
+    yield 3, [[1, 2 % p, 0], [0, 0, 0], [1, 2 % p, 0]]
+    for _ in range(40):
+        n = rng.randrange(5)
+        yield n, [[rng.randrange(p) for _ in range(n)]
+                  for _ in range(rng.randrange(6))]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_from_rows_equals_the_checked_subspace(p):
+    deficient = 0
+    for n, rows in _row_sets(random.Random(p), p):
+        s = Subspace.from_rows(n, p, rows)
+        r = rref(Matrix.from_rows(rows, p, cols=n))
+        checked = Subspace(n, Matrix.from_rows(
+            [r.matrix.row(i) for i in range(r.rank)], p, cols=n))
+        assert (s.basis, s.pivots) == (checked.basis, checked.pivots)
+        assert s == checked and hash(s) == hash(checked)
+        deficient += r.rank < len(rows)
+    assert deficient
+
+
+def _equal_records() -> dict:
+    """Pairs of equal records built apart, one pair per record class that
+    keeps its hash, by class name."""
+    def build():
+        vect = FinVect(3, Budget(max_vectors=512))
+        rep = Rep(Quiver(2, ((0, 1),)), 3)
+        framing = rep.obj((1, 1), [Matrix.build(1, 1, 3, (1,))])
+        return [Budget(max_vectors=512), vect, Quiver(2, ((0, 1),)), rep,
+                identity_functor(vect), Matrix.build(1, 1, 3, (2,)),
+                CommaCategory(identity_functor(vect), identity_functor(vect)),
+                CoCommaCategory(identity_functor(vect),
+                                hom_into(rep, framing, vect))]
+    return {type(a).__name__: (a, b) for a, b in zip(build(), build())}
+
+
+@pytest.mark.parametrize("first", (0, 1))
+@pytest.mark.parametrize("name", sorted(_equal_records()))
+def test_equal_records_hash_and_compare_equal(name, first):
+    """Before either is hashed, after one is and after both are."""
+    pair = _equal_records()[name]
+    a, b = pair[first], pair[1 - first]
+    assert a is not b and a == b
+    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    h = hash(a)
+    assert h == hash(fields) == hash(a)
+    assert a == b and hash(b) == h
+    assert {a: "cached"}[b] == "cached"
+    # a kept hash does not travel: it may be another interpreter's
+    object.__setattr__(a, "_hash", h + 1)
+    restored = pickle.loads(pickle.dumps(a))
+    assert restored == a and hash(restored) == h
