@@ -58,20 +58,22 @@ from .workspace import bundled_workspace_path, load_workspace
 @dataclass(frozen=True)
 class CriterionResult:
     key: str
-    passed: bool
     details: dict
     failures: tuple
     elapsed: float          # wall clock, reported on stderr only
-    budget_seconds: float   # 0 means no runtime bound
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _finish(key, t0, failures, details, budget=0.0) -> CriterionResult:
+    """budget is the criterion's runtime bound in seconds; 0 means none."""
     elapsed = time.monotonic() - t0
     if budget and elapsed > budget:
         failures = list(failures)
         failures.append(f"runtime {elapsed:.1f}s exceeded the {budget:.0f}s bound")
-    return CriterionResult(key, not failures, dict(details),
-                           tuple(failures), elapsed, budget)
+    return CriterionResult(key, dict(details), tuple(failures), elapsed)
 
 
 def _arrow_quiver_rep(p: int = 2) -> Rep:

@@ -74,9 +74,9 @@ def _cmd_validate(ws: Workspace, args, seed: int):
     checks = 0
     for name in sorted(ws.categories):
         rep = verify_category(ws.categories[name], samples=16, seed=seed)
-        categories[name] = {"checks": rep.checks,
+        categories[name] = {"checks": rep.checked,
                             "violations": list(rep.violations)}
-        checks += rep.checks
+        checks += rep.checked
         failures += len(rep.violations)
     functors = {}
     for name in sorted(ws.functors):
@@ -112,9 +112,9 @@ def _cmd_validate(ws: Workspace, args, seed: int):
                                         "message": str(exc)}}
             failures += 1
             continue
-        contexts[name] = {"checks": rep.checks,
+        contexts[name] = {"checks": rep.checked,
                           "violations": list(rep.violations)}
-        checks += rep.checks
+        checks += rep.checked
         failures += len(rep.violations)
     results = {
         "categories": categories,
@@ -297,7 +297,7 @@ def _cmd_counterexample(ws: Workspace, args, seed: int):
         "witnessed_violations":
             list(report.functor_report.right_exact.violations),
         "flag_mismatches": list(report.functor_report.flag_mismatches),
-        "abelian_checks": report.abelian_report.checks,
+        "abelian_checks": report.abelian_report.checked,
         "abelian_violations": list(report.abelian_report.violations),
         "product_comparison": {
             "objects": report.equivalence.objects,
@@ -307,7 +307,7 @@ def _cmd_counterexample(ws: Workspace, args, seed: int):
         },
         "clean": report.clean,
     }
-    timing = {"checks": report.abelian_report.checks
+    timing = {"checks": report.abelian_report.checked
               + report.equivalence.hom_checks
               + report.equivalence.composition_checks}
     return (0 if report.clean else 1), results, timing

@@ -60,8 +60,11 @@ class ShortExactSequence:
 
 
 @dataclass(frozen=True)
-class CategoryReport:
-    checks: int
+class CheckReport:
+    """What an audit returns: how many checks it made and every violation
+    it found.  A clean report is the audit's pass certificate."""
+
+    checked: int
     violations: tuple
 
     @property
@@ -462,23 +465,22 @@ def induced_morphism(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = None,
     return q, mbar, i
 
 
-def _iso_violations(inst: CategoryInstance, induced: Callable[[], tuple]) -> list:
-    """Certify the mbar of induced() invertible by componentwise ranks: a
-    map with bijective components is an iso, since in a glued category
-    p o F(f) = G(g) o q gives G(g^-1) o p = q o F(f^-1) by functoriality."""
+def verify_induced_iso(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = None,
+                       cmor: Optional[Mor] = None) -> list:
+    """Certify coim(m) -> im(m) invertible, off the kernel and cokernel
+    arrows of m that a caller has built, or that induced_morphism builds.
+
+    The certificate is componentwise ranks: a map with bijective components
+    is an iso, since in a glued category p o F(f) = G(g) o q gives
+    G(g^-1) o p = q o F(f^-1) by functoriality.
+    """
     try:
-        _, mbar, _ = induced()
+        _, mbar, _ = induced_morphism(inst, m, kmor, cmor)
     except ExactnessViolation as exc:
         return [f"induced morphism does not exist: {exc}"]
     if not (inst.is_mono(mbar) and inst.is_epi(mbar)):
         return ["induced coimage->image morphism is not invertible"]
     return []
-
-
-def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
-    """Certify coim(m) -> im(m) invertible, building the kernel and the
-    cokernel of m for it."""
-    return _iso_violations(inst, lambda: induced_morphism(inst, m))
 
 
 # -- universal-property certification -----------------------------------
@@ -578,8 +580,7 @@ def certify_morphism(inst: CategoryInstance, m: Mor, rng: random.Random):
     kernel = verify_kernel_universal(inst, m, kobj, kmor, rng)
     cobj, cmor = inst.cokernel(m)
     cokernel = verify_cokernel_universal(inst, m, cobj, cmor, rng)
-    induced = _iso_violations(
-        inst, lambda: induced_morphism(inst, m, kmor, cmor))
+    induced = verify_induced_iso(inst, m, kmor, cmor)
     return (kobj, kmor), (cobj, cmor), {
         "kernel": kernel, "cokernel": cokernel, "induced": induced}
 
@@ -666,7 +667,7 @@ def subobject_leq(inst: CategoryInstance, inner: Subobject, outer: Subobject) ->
 
 
 def verify_category(inst: CategoryInstance, samples: int = 24, seed: int = 0,
-                    max_dim: int = 3) -> CategoryReport:
+                    max_dim: int = 3) -> CheckReport:
     """Seeded spot-check of the category axioms and abelian structure.
 
     Samples morphisms and checks identity and associativity laws, kernel
@@ -678,7 +679,7 @@ def verify_category(inst: CategoryInstance, samples: int = 24, seed: int = 0,
     # what the verifiers draw must not move the sampled morphisms
     check_rng = random.Random(seed)
     violations = []
-    checks = 0
+    checked = 0
 
     objs = [inst.zero_object()] + [inst.sample_object(rng, max_dim) for _ in range(6)]
 
@@ -690,7 +691,7 @@ def verify_category(inst: CategoryInstance, samples: int = 24, seed: int = 0,
     for _ in range(samples):
         x, y = sample_pair()
         m = random_hom(inst, rng, x, y)
-        checks += 1
+        checked += 1
         if inst.compose(inst.identity(y), m) != m or inst.compose(m, inst.identity(x)) != m:
             violations.append(f"identity law fails at {inst.describe_object(x)}")
         z = objs[rng.randrange(len(objs))]
@@ -703,14 +704,14 @@ def verify_category(inst: CategoryInstance, samples: int = 24, seed: int = 0,
     for _ in range(max(4, samples // 3)):
         x, y = sample_pair()
         m = random_hom(inst, rng, x, y)
-        checks += 1
+        checked += 1
         *_, found = certify_morphism(inst, m, check_rng)
         for v in found.values():
             violations.extend(v)
 
     for _ in range(3):
         x, y = sample_pair()
-        checks += 1
+        checked += 1
         violations.extend(verify_biproduct(inst, x, y))
 
-    return CategoryReport(checks=checks, violations=tuple(violations))
+    return CheckReport(checked, tuple(violations))

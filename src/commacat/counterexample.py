@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .comma import CommaCategory, verify_comma_abelian
-from .core import CategoryReport, Mor, hom_dim, short_exact
+from .core import CheckReport, Mor, hom_dim, short_exact
 from .functors import FunctorReport, check_functor, one_plus, zero_functor
 from .instances import FinVect
 from .linalg import Matrix
@@ -103,7 +103,7 @@ def product_equivalence_check(cat: CommaCategory, max_dim: int = 2) -> Equivalen
 @dataclass(frozen=True)
 class CounterexampleReport:
     functor_report: FunctorReport
-    abelian_report: CategoryReport
+    abelian_report: CheckReport
     equivalence: EquivalenceReport
 
     @property
@@ -114,7 +114,7 @@ class CounterexampleReport:
     def clean(self) -> bool:
         return (self.right_exactness_witnessed
                 and not self.functor_report.flag_mismatches
-                and not self.abelian_report.violations
+                and self.abelian_report.clean
                 and self.equivalence.clean)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .core import CategoryInstance, Mor, exact_at_middle, random_hom, subobject_ses
+from .core import (CategoryInstance, CheckReport, Mor, exact_at_middle, random_hom,
+                   subobject_ses)
 from .errors import ExactnessViolation
 from .instances import FinVect, Rep, RepObject
 from .linalg import (
@@ -324,28 +325,18 @@ def apply_on_morphism(f: FunctorSpec, m: Mor) -> Mor:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    checked: int
-    violations: tuple
-
-    @property
-    def violated(self) -> bool:
-        return bool(self.violations)
-
-
-@dataclass(frozen=True)
 class FunctorReport:
     kind: str
-    laws: CheckOutcome
-    additivity: CheckOutcome
-    left_exact: CheckOutcome
-    right_exact: CheckOutcome
+    laws: CheckReport
+    additivity: CheckReport
+    left_exact: CheckReport
+    right_exact: CheckReport
     flag_mismatches: tuple
     unwitnessed_negations: tuple
 
     @property
     def clean(self) -> bool:
-        return not self.laws.violated and not self.flag_mismatches
+        return self.laws.clean and not self.flag_mismatches
 
 
 def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
@@ -428,21 +419,23 @@ def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
         else:
             first, second = f_sub, f_quot
         middle = exact_at_middle(tgt, first, second)
-        if not tgt.is_mono(first) or not middle:
+        mono = tgt.is_mono(first)
+        epi = tgt.is_epi(second)
+        if not mono or not middle:
             left_violations.append(
                 "left-exactness fails: "
-                + ("first arrow not mono" if not tgt.is_mono(first)
-                   else "image != kernel at the middle term"))
-        if not tgt.is_epi(second) or not middle:
+                + ("image != kernel at the middle term" if mono
+                   else "first arrow not mono"))
+        if not epi or not middle:
             right_violations.append(
                 "right-exactness fails: "
-                + ("image != kernel at the middle term" if tgt.is_epi(second)
+                + ("image != kernel at the middle term" if epi
                    else "last arrow not epi"))
 
-    laws = CheckOutcome(law_checks, tuple(law_violations))
-    additivity = CheckOutcome(add_checks, tuple(add_violations))
-    left = CheckOutcome(exact_checks, tuple(left_violations))
-    right = CheckOutcome(exact_checks, tuple(right_violations))
+    laws = CheckReport(law_checks, tuple(law_violations))
+    additivity = CheckReport(add_checks, tuple(add_violations))
+    left = CheckReport(exact_checks, tuple(left_violations))
+    right = CheckReport(exact_checks, tuple(right_violations))
 
     mismatches = []
     unwitnessed = []
@@ -450,9 +443,9 @@ def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,
             ("additive", f.additive, additivity),
             ("left_exact", f.left_exact, left),
             ("right_exact", f.right_exact, right)):
-        if declared and outcome.violated:
+        if declared and not outcome.clean:
             mismatches.append(f"declared {name} but violated: {outcome.violations[0]}")
-        if not declared and not outcome.violated:
+        if not declared and outcome.clean:
             unwitnessed.append(f"declared not {name} but no violation was found")
 
     return FunctorReport(kind=f.kind, laws=laws, additivity=additivity,

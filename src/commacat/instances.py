@@ -313,8 +313,10 @@ class Rep(CategoryInstance):
 
     def enumerate_objects(self, max_total_dim: int):
         n = self.quiver.vertices
-        # stars and bars: C(n + d, n) dimension vectors of total <= d
-        if math.comb(n + max_total_dim, n) > self.budget.max_vectors:
+        # stars and bars: C(n + d, n) dimension vectors of total <= d,
+        # counted once per vertex, since an audit over the sweep (such as
+        # check_functor's) does work per vertex on every object
+        if math.comb(n + max_total_dim, n) * n > self.budget.max_vectors:
             raise BudgetExceeded("dimension-vector sweep exceeds vector budget")
         for total in range(max_total_dim + 1):
             for dims in _dim_vectors(n, total):

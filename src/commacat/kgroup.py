@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import CategoryInstance, short_exact
+from .core import CategoryInstance, CheckReport, short_exact
 from .errors import ExactnessViolation
 
 
@@ -56,19 +56,9 @@ def apply_induced(assignment: AdditiveAssignment, vec: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
-    checked: int
-    violations: tuple
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
 def verify_additivity(cat: CategoryInstance, sequences,
                       assignment: Optional[AdditiveAssignment] = None
-                      ) -> AdditivityReport:
+                      ) -> CheckReport:
     """Check f(middle) = f(sub) + f(quot) over short exact sequences of cat.
 
     f is the class vector, or the induced map of assignment when given.
@@ -85,11 +75,11 @@ def verify_additivity(cat: CategoryInstance, sequences,
         checked += 1
         if lhs != rhs:
             violations.append((cat.describe_object(ses.sub.target), lhs, rhs))
-    return AdditivityReport(checked, tuple(violations))
+    return CheckReport(checked, tuple(violations))
 
 
 def verify_factorization(cat: CategoryInstance, assignment: AdditiveAssignment,
-                         objects) -> AdditivityReport:
+                         objects) -> CheckReport:
     """Compare direct evaluation against the induced map applied to the
     class vector, object by object."""
     if assignment.direct is None:
@@ -102,7 +92,7 @@ def verify_factorization(cat: CategoryInstance, assignment: AdditiveAssignment,
         checked += 1
         if via_class != direct:
             violations.append((cat.describe_object(x), direct, via_class))
-    return AdditivityReport(checked, tuple(violations))
+    return CheckReport(checked, tuple(violations))
 
 
 def decompose(cat, x):

@@ -491,4 +491,4 @@ def serialize_morphism(home, m: Mor) -> Any:
 
 
 def _matrix_rows(m: Matrix) -> list:
-    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    return [list(m.row(i)) for i in range(m.rows)]

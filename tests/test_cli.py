@@ -172,6 +172,27 @@ def test_exit_2_on_a_quiver_with_too_many_dimension_vectors(tmp_path):
     assert "dimension-vector sweep" in proc.stderr
 
 
+def test_exit_2_on_a_wide_path_quiver_at_the_default_budget(tmp_path):
+    """At the default budget the dimension-vector guard counts each vector
+    once per vertex, C(202, 2) * 200 for a 200-vertex path quiver, so the
+    functor audit's per-vertex work is refused before it starts; counted
+    once, its 20,301 vectors passed and the audit ran through them."""
+    n = 200
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"path": {"kind": "quiver", "vertices": n,
+                                "arrows": [[i, i + 1] for i in range(n - 1)]}},
+        "functors": {"id": {"kind": "identity", "category": "path"}},
+    }
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(CMD + ["validate", "--spec", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "dimension-vector sweep exceeds vector budget" in proc.stderr
+
+
 def test_exit_3_on_negative_budget():
     run_cli("validate", "--budget", "-1", check_code=3)
 

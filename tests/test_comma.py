@@ -219,4 +219,4 @@ def test_mixed_instance_context():
 def test_verify_comma_abelian_clean_on_the_arrow_instance():
     report = verify_comma_abelian(ARROW, samples=10)
     assert report.violations == ()
-    assert report.checks > 0
+    assert report.checked > 0

@@ -275,7 +275,7 @@ def test_factor_between_nested_subspaces():
 def test_verify_category_clean_finvect(p):
     report = verify_category(FinVect(p), samples=12, max_dim=3)
     assert report.violations == ()
-    assert report.checks > 0
+    assert report.checked > 0
 
 
 @settings(deadline=None, max_examples=5)

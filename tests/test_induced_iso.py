@@ -134,7 +134,7 @@ def test_a_non_invertible_induced_morphism_is_rejected(name, kind, monkeypatch):
     bad = _not_invertible(cat, x)[kind]
     assert inverse_of(cat, bad) is None
     monkeypatch.setattr(commacat.core, "induced_morphism",
-                        lambda inst, m: (q, bad, i))
+                        lambda inst, m, kmor=None, cmor=None: (q, bad, i))
     assert verify_induced_iso(cat, cat.identity(x)) == [
         "induced coimage->image morphism is not invertible"]
 
