@@ -294,6 +294,12 @@ class CategoryInstance(abc.ABC):
                                  else arrow.target)
         return [] if have == want else [f"class {have}, {side} class {want}"]
 
+    def induced_iso_certificate(self, m: Mor) -> bool:
+        """Whether the instance certifies the induced coim(m) -> im(m)
+        invertible without building it; False is no certificate, not a
+        verdict, and induced_morphism decides."""
+        return False
+
 
 # -- linear solving in hom coordinates ----------------------------------
 
@@ -470,10 +476,15 @@ def verify_induced_iso(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = Non
     """Certify coim(m) -> im(m) invertible, off the kernel and cokernel
     arrows of m that a caller has built, or that induced_morphism builds.
 
-    The certificate is componentwise ranks: a map with bijective components
-    is an iso, since in a glued category p o F(f) = G(g) o q gives
+    Without such arrows the instance's induced_iso_certificate is asked
+    first.  A supplied arrow always takes induced_morphism, since its
+    square is not known to commute.  On that path the induced map is tested
+    by componentwise ranks: a map with bijective components is an iso,
+    since in a glued category p o F(f) = G(g) o q gives
     G(g^-1) o p = q o F(f^-1) by functoriality.
     """
+    if kmor is None and cmor is None and inst.induced_iso_certificate(m):
+        return []
     try:
         _, mbar, _ = induced_morphism(inst, m, kmor, cmor)
     except ExactnessViolation as exc:

@@ -334,7 +334,29 @@ class Subspace:
         return all(x == 0 for x in v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(other.basis.row(i)) for i in range(other.dim))
+        """Whether other lies in this subspace.  A vector v of an RREF span
+        is the combination of the basis rows by its own entries at their
+        pivots, so its leading entry sits at a pivot: other's pivots must
+        be among these.  Then each row of other is compared with that one
+        combination, at the non-pivot columns, since at a pivot the two
+        agree by construction."""
+        if not other.dim:
+            return True
+        n = self.ambient_dim
+        if other.ambient_dim != n:
+            raise ShapeError("vector length mismatch")
+        pivots = self.pivots
+        if not set(other.pivots).issubset(pivots):
+            return False
+        p, e = self.modulus, self.basis.entries
+        free = [k for k in range(n) if k not in pivots]
+        for j in range(other.dim):
+            v = other.basis.row(j)
+            coeffs = [(v[c], i * n) for i, c in enumerate(pivots) if v[c]]
+            for k in free:
+                if (sum(f * e[off + k] for f, off in coeffs) - v[k]) % p:
+                    return False
+        return True
 
 
 def kernel_basis(m: Matrix) -> Subspace:

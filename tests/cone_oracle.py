@@ -1,6 +1,7 @@
-"""The sampled-cone verifiers, the solved two-sided inverse and the
-per-morphism cancellation test, kept as the references that the
-rank-identity verifiers, the componentwise iso test of commacat.core and
+"""The sampled-cone verifiers, the solved two-sided inverse, the
+solve-path verdict on the induced map and the per-morphism cancellation
+test, kept as the references that the rank-identity verifiers, the
+componentwise iso test and the component certificate of commacat.core and
 the linear cancellation sweep of the co-comma criterion are compared
 against.
 
@@ -18,6 +19,7 @@ from commacat.core import (
     Mor,
     _combine,
     _hom_action,
+    induced_morphism,
     try_through_epi,
     try_through_mono,
 )
@@ -103,6 +105,19 @@ def inverse_of(inst: CategoryInstance, m: Mor) -> Optional[Mor]:
     if inst.compose(m, u) != inst.identity(m.target):
         return None
     return u
+
+
+def induced_iso_oracle(inst: CategoryInstance, m: Mor) -> list:
+    """The solve-path verdict on coim(m) -> im(m): the induced map built
+    by the glued constructions and solves of induced_morphism, tested by
+    its solved two-sided inverse, in the words of verify_induced_iso."""
+    try:
+        _, mbar, _ = induced_morphism(inst, m)
+    except ExactnessViolation as exc:
+        return [f"induced morphism does not exist: {exc}"]
+    if inverse_of(inst, mbar) is None:
+        return ["induced coimage->image morphism is not invertible"]
+    return []
 
 
 def postcomposition_injective(cat, m, tests) -> bool:

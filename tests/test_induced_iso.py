@@ -128,11 +128,13 @@ def _not_invertible(cat, x) -> dict:
 @pytest.mark.parametrize("name", sorted(_plane_contexts()))
 def test_a_non_invertible_induced_morphism_is_rejected(name, kind, monkeypatch):
     """With induced_morphism patched to return a middle map that is not
-    invertible, the rank test rejects it."""
+    invertible, and the component certificate declined so that the patched
+    map is reached, the rank test rejects it."""
     cat, x = _plane_contexts()[name]
     q, _, i = induced_morphism(cat, cat.identity(x))
     bad = _not_invertible(cat, x)[kind]
     assert inverse_of(cat, bad) is None
+    monkeypatch.setattr(type(cat), "induced_iso_certificate", lambda *_: False)
     monkeypatch.setattr(commacat.core, "induced_morphism",
                         lambda inst, m, kmor=None, cmor=None: (q, bad, i))
     assert verify_induced_iso(cat, cat.identity(x)) == [

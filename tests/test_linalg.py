@@ -213,6 +213,48 @@ def test_subspace_membership():
     assert not s.contains_subspace(full)
 
 
+def _eliminating_containment(outer, inner) -> bool:
+    """The reference: eliminate each row of inner against outer's basis."""
+    return all(outer.contains_vector(inner.basis.row(i)) for i in range(inner.dim))
+
+
+def _random_pair(rng, n, p):
+    """A random subspace and, half the time, the span of random
+    combinations of its rows, so that contained pairs are common."""
+    def rand_rows(k):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+    outer = Subspace.from_rows(n, p, rand_rows(rng.randint(0, n)))
+    if rng.random() < 0.5:
+        rows = [[sum(rng.randrange(p) * outer.basis.entry(i, c)
+                     for i in range(outer.dim)) for c in range(n)]
+                for _ in range(rng.randint(0, outer.dim))]
+        rows += rand_rows(rng.randint(0, 1))
+    else:
+        rows = rand_rows(rng.randint(0, n))
+    return outer, Subspace.from_rows(n, p, rows)
+
+
+@pytest.mark.parametrize("p, n", ((2, 4), (3, 3)))
+def test_contains_subspace_matches_elimination_on_every_pair(p, n):
+    spaces = enumerate_subspaces(n, p)
+    for outer in spaces:
+        for inner in spaces:
+            assert outer.contains_subspace(inner) == \
+                _eliminating_containment(outer, inner)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_contains_subspace_matches_elimination_on_random_pairs(p):
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(2000):
+        outer, inner = _random_pair(rng, rng.randint(0, 6), p)
+        verdict = outer.contains_subspace(inner)
+        assert verdict == _eliminating_containment(outer, inner)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
 def test_quotient_map_kills_exactly_the_subspace():
     s = Subspace.from_rows(3, 2, [[1, 0, 0], [0, 1, 0]])
     proj, q = quotient_map(3, s)
