@@ -76,12 +76,12 @@ def _finish(key, t0, failures, details, budget=0.0) -> CriterionResult:
     return CriterionResult(key, dict(details), tuple(failures), elapsed)
 
 
-def _arrow_quiver_rep(p: int = 2) -> Rep:
-    return Rep(ARROW_QUIVER, p)
+def _arrow_quiver_rep() -> Rep:
+    return Rep(ARROW_QUIVER, 2)
 
 
-def _arrow_context(p: int = 2) -> CommaCategory:
-    vect = FinVect(p)
+def _arrow_context() -> CommaCategory:
+    vect = FinVect(2)
     return CommaCategory(identity_functor(vect), identity_functor(vect))
 
 

@@ -42,8 +42,9 @@ class CoCommaCategory(CommaCategory):
             raise ValueError("right functor must be contravariant; "
                              "use the plain comma construction otherwise")
 
-    # each glued class holds its own entry points and caches, so that
-    # perfbench/tracing.py times the two constructions apart
+    # each glued class holds its own entry points and its own hom-basis
+    # and subobject caches, so that perfbench/tracing.py times the two
+    # constructions apart
     mor = CommaCategory.mor
     mor_from_flat = CommaCategory.mor_from_flat
     kernel = CommaCategory.kernel

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Any
 
 from .core import (
@@ -411,25 +411,11 @@ class CommaCategory(CategoryInstance):
 
     def kernel(self, m: Mor):
         self._require_abelian()
-        x = m.source
-        ka_obj, ka = self._left_view.kernel(m.data[0])
-        kb_obj, kb = self.right.kernel(m.data[1])
-        solve = self._structure_solver(
-            None, x, apply_on_morphism(self.left_functor, ka))
-        beta = solve(apply_on_morphism(self.right_functor, kb))
-        kobj = self._object_class(ka_obj, kb_obj, beta)
-        return kobj, Mor(kobj, x, (ka, kb))
+        return _glued_kernel(self, m)
 
     def cokernel(self, m: Mor):
         self._require_abelian()
-        y = m.target
-        ca_obj, ca = self._left_view.cokernel(m.data[0])
-        cb_obj, cb = self.right.cokernel(m.data[1])
-        solve = self._structure_solver(
-            y, None, apply_on_morphism(self.left_functor, ca))
-        gamma = solve(apply_on_morphism(self.right_functor, cb))
-        cobj = self._object_class(ca_obj, cb_obj, gamma)
-        return cobj, Mor(y, cobj, (ca, cb))
+        return _glued_cokernel(self, m)
 
     def biproduct(self, x, y):
         self._require_abelian()
@@ -513,10 +499,12 @@ class CommaCategory(CategoryInstance):
         class certificate, it returns None and the rank identity decides.
         """
         kernel = side == "kernel"
-        closing = self._closing_side(kernel)
-        legs = (apply_on_morphism(self.left_functor, arrow.data[0]),
-                apply_on_morphism(self.right_functor, arrow.data[1]))
-        if not self._cancels(closing, legs[closing]):
+        ff = apply_on_morphism(self.left_functor, arrow.data[0])
+        gg = apply_on_morphism(self.right_functor, arrow.data[1])
+        # a comma kernel closes through G, a mono, and a comma cokernel
+        # through F, an epi; the co-comma swaps them
+        if not (self.cone.is_epi(ff) if kernel == self.left_reversed
+                else self.cone.is_mono(gg)):
             return None
         obj = arrow.source if kernel else arrow.target
         shortfalls = []
@@ -531,118 +519,9 @@ class CommaCategory(CategoryInstance):
                 shortfalls.append(
                     f"{name} component: class {have}, {side} class {want}")
         # kernel and cokernel build the square without checking it
-        if not self._square_holds(arrow.source, arrow.target, *legs):
+        if not self._square_holds(arrow.source, arrow.target, ff, gg):
             raise ValueError("structure square does not commute")
         return shortfalls
-
-    def induced_iso_certificate(self, m: Mor) -> bool:
-        """Whether the induced coim(m) -> im(m) is invertible, certified
-        off cone and component ranks with no glued construction and no
-        structure solve; False leaves the verdict to induced_morphism.
-
-        induced_morphism builds K = ker m, C = coker m, the coimage
-        Q = coker(k: K -> X) and the image I = ker(c: Y -> C), each from
-        component kernels and cokernels and one structure solve, through
-        the leg image of one component arrow (_closing_side).  Over
-        additive legs, with the square of m checked, each solve has exactly
-        one solution where that leg image is the cone kernel (cokernel) of
-        the same leg's image of the morphism it is built from (_closes).
-        Then every construction is the one induced_morphism builds, and the
-        maps it solves for are solved per component: t: X -> I with
-        i t = m, and u: Q -> I with u q = t.  Their squares hold by
-        cancelling the leg images just read, for t (u) through the kernel
-        i (cokernel q):
-
-        - comma, t, G(i_b) mono.  G(i_b) I.alpha F(t_a) = Y.alpha F(i_a t_a)
-          = Y.alpha F(m_a) = G(m_b) X.alpha = G(i_b) G(t_b) X.alpha, and
-          G(i_b) cancels.
-        - comma, u, F(q_a) epi.  I.alpha F(u_a) F(q_a) = I.alpha F(t_a)
-          = G(t_b) X.alpha = G(u_b) G(q_b) X.alpha = G(u_b) Q.alpha F(q_a),
-          and F(q_a) cancels.
-        - co-comma, t, F(i_a) epi, with i_a: Y.a -> I.a and t_a i_a = m_a
-          in the left category.  X.alpha F(t_a) F(i_a) = X.alpha F(m_a)
-          = G(m_b) Y.alpha = G(t_b) G(i_b) Y.alpha = G(t_b) I.alpha F(i_a),
-          and F(i_a) cancels.
-        - co-comma, u, G(q_b) mono, with q_a: Q.a -> X.a and q_a u_a = t_a.
-          G(q_b) Q.alpha F(u_a) = X.alpha F(q_a u_a) = X.alpha F(t_a)
-          = G(t_b) I.alpha = G(q_b) G(u_b) I.alpha, and G(q_b) cancels.
-
-        So the induced map is (u_a, u_b), invertible exactly when both
-        components are.  Where a read or a factorization fails it returns
-        False, and induced_morphism decides and words the verdict.
-        """
-        self._require_abelian()
-        if not self.additive:
-            return False
-        self._own(m)
-        self._own_components(m)
-        view, right = self._left_view, self.right
-        ma, mb = m.data
-        m_legs = (apply_on_morphism(self.left_functor, ma),
-                  apply_on_morphism(self.right_functor, mb))
-        if not self._square_holds(m.source, m.target, *m_legs):
-            return False
-        try:
-            k = (view.kernel(ma)[1], right.kernel(mb)[1])
-            c = (view.cokernel(ma)[1], right.cokernel(mb)[1])
-            q = (view.cokernel(k[0])[1], right.cokernel(k[1])[1])
-            i = (view.kernel(c[0])[1], right.kernel(c[1])[1])
-        except ExactnessViolation:
-            return False
-        ks, cs = self._closing_side(True), self._closing_side(False)
-        leg, closes = self._leg_image, self._closes
-        if not (closes(ks, m_legs[ks], leg(ks, k))
-                and closes(cs, m_legs[cs], leg(cs, c))
-                and closes(cs, leg(cs, k), leg(cs, q))
-                and closes(ks, leg(ks, c), leg(ks, i))):
-            return False
-        # component kernels are monos and cokernels epis, so each
-        # component factorization is unique
-        ta, tb = view._factor_mono(i[0], ma), right._factor_mono(i[1], mb)
-        if ta is None or tb is None:
-            return False
-        ua, ub = view._factor_epi(q[0], ta), right._factor_epi(q[1], tb)
-        return (ua is not None and ub is not None
-                and view.is_mono(ua) and view.is_epi(ua)
-                and right.is_mono(ub) and right.is_epi(ub))
-
-    def _closing_side(self, kernel: bool) -> int:
-        """The component (0 left, 1 right) through whose leg image
-        _structure_solver closes the square of a kernel (cokernel): F of
-        the left component, an epi, or G of the right one, a mono.  A comma
-        kernel closes through G and a comma cokernel through F; the
-        co-comma swaps them."""
-        return 0 if kernel == self.left_reversed else 1
-
-    def _leg_image(self, side: int, pair: tuple) -> Mor:
-        """F of the left component (side 0) or G of the right one (side 1)
-        of a component pair."""
-        leg = self.left_functor if side == 0 else self.right_functor
-        return apply_on_morphism(leg, pair[side])
-
-    def _cancels(self, side: int, leg: Mor) -> bool:
-        """Whether a leg image on side cancels: F's epi, G's mono."""
-        return self.cone.is_epi(leg) if side == 0 else self.cone.is_mono(leg)
-
-    def _closes(self, side: int, n_leg: Mor, leg: Mor) -> bool:
-        """Whether the structure solve closing a kernel or cokernel of n
-        through leg, the image of its component arrow on side, has exactly
-        one solution, where n_leg is the image of n on the same side.
-
-        On side 0, where F(a) follows F(n_a) in the cone, it does when F(a)
-        is the cone cokernel of F(n_a).  The other side of the solve kills
-        F(n_a) by the square of n, and so does F(a), since additive legs
-        send the zero map a n_a of the left category to zero.  An
-        epi that kills F(n_a) is that cokernel exactly when its target has
-        the cokernel class.  Side 1 is the dual: G(b) mono with the class
-        of the cone kernel of G(n_b).
-        """
-        c = self.cone
-        if not self._cancels(side, leg):
-            return False
-        if side == 0:
-            return c.class_vector(leg.target) == c.cokernel_class(n_leg)
-        return c.class_vector(leg.source) == c.kernel_class(n_leg)
 
 
 def glued_hom_basis(cat: CommaCategory, x, y) -> tuple:
@@ -708,6 +587,37 @@ def glued_subobjects(cat: CommaCategory, x) -> tuple:
             out.append(Subobject(sobj, Mor(sobj, x, (sub_a.mono, sub_b.mono)),
                                  (sub_a.key, sub_b.key)))
     return tuple(out)
+
+
+# Callers ask again for the kernel or cokernel they have just built (the
+# coimage and the image of m after ker m and coker m), not for old ones,
+# so a few recent constructions are kept.  A construction that raises is
+# not kept and raises again.
+_RECENT = 4
+
+
+@lru_cache(maxsize=_RECENT)
+def _glued_kernel(cat: CommaCategory, m: Mor):
+    x = m.source
+    ka_obj, ka = cat._left_view.kernel(m.data[0])
+    kb_obj, kb = cat.right.kernel(m.data[1])
+    solve = cat._structure_solver(
+        None, x, apply_on_morphism(cat.left_functor, ka))
+    beta = solve(apply_on_morphism(cat.right_functor, kb))
+    kobj = cat._object_class(ka_obj, kb_obj, beta)
+    return kobj, Mor(kobj, x, (ka, kb))
+
+
+@lru_cache(maxsize=_RECENT)
+def _glued_cokernel(cat: CommaCategory, m: Mor):
+    y = m.target
+    ca_obj, ca = cat._left_view.cokernel(m.data[0])
+    cb_obj, cb = cat.right.cokernel(m.data[1])
+    solve = cat._structure_solver(
+        y, None, apply_on_morphism(cat.left_functor, ca))
+    gamma = solve(apply_on_morphism(cat.right_functor, cb))
+    cobj = cat._object_class(ca_obj, cb_obj, gamma)
+    return cobj, Mor(y, cobj, (ca, cb))
 
 
 @cache

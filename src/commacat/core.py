@@ -294,12 +294,6 @@ class CategoryInstance(abc.ABC):
                                  else arrow.target)
         return [] if have == want else [f"class {have}, {side} class {want}"]
 
-    def induced_iso_certificate(self, m: Mor) -> bool:
-        """Whether the instance certifies the induced coim(m) -> im(m)
-        invertible without building it; False is no certificate, not a
-        verdict, and induced_morphism decides."""
-        return False
-
 
 # -- linear solving in hom coordinates ----------------------------------
 
@@ -449,44 +443,29 @@ def coimage(inst: CategoryInstance, m: Mor):
     return inst.cokernel(kmor)
 
 
-def induced_morphism(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = None,
-                     cmor: Optional[Mor] = None):
+def induced_morphism(inst: CategoryInstance, m: Mor):
     """The canonical map coim(m) -> im(m) together with its flanks.
 
     Returns (q, mbar, i) with q the coimage epi, i the image mono, and
-    i o mbar o q == m by the exact solves.  The coimage is coker(kmor) and
-    the image ker(cmor), for the kernel and cokernel arrows of m that a
-    caller has built already, or that are built here.  An abelian category
-    needs mbar invertible, which is for the caller to certify
-    (verify_induced_iso).
+    i o mbar o q == m by the exact solves.  An abelian category needs mbar
+    invertible, which is for the caller to certify (verify_induced_iso).
     """
-    if kmor is None:
-        _, kmor = inst.kernel(m)
-    if cmor is None:
-        _, cmor = inst.cokernel(m)
-    _, q = inst.cokernel(kmor)
-    _, i = inst.kernel(cmor)
+    _, q = coimage(inst, m)
+    _, i = image(inst, m)
     through = solve_through_mono(inst, i, m)       # X -> Im with i o . = m
     mbar = solve_through_epi(inst, q, through)     # CoIm -> Im with . o q = through
     return q, mbar, i
 
 
-def verify_induced_iso(inst: CategoryInstance, m: Mor, kmor: Optional[Mor] = None,
-                       cmor: Optional[Mor] = None) -> list:
-    """Certify coim(m) -> im(m) invertible, off the kernel and cokernel
-    arrows of m that a caller has built, or that induced_morphism builds.
+def verify_induced_iso(inst: CategoryInstance, m: Mor) -> list:
+    """Certify coim(m) -> im(m) invertible, as induced_morphism builds it.
 
-    Without such arrows the instance's induced_iso_certificate is asked
-    first.  A supplied arrow always takes induced_morphism, since its
-    square is not known to commute.  On that path the induced map is tested
-    by componentwise ranks: a map with bijective components is an iso,
-    since in a glued category p o F(f) = G(g) o q gives
-    G(g^-1) o p = q o F(f^-1) by functoriality.
+    The induced map is tested by componentwise ranks: a map with
+    bijective components is an iso, since in a glued category
+    p o F(f) = G(g) o q gives G(g^-1) o p = q o F(f^-1) by functoriality.
     """
-    if kmor is None and cmor is None and inst.induced_iso_certificate(m):
-        return []
     try:
-        _, mbar, _ = induced_morphism(inst, m, kmor, cmor)
+        _, mbar, _ = induced_morphism(inst, m)
     except ExactnessViolation as exc:
         return [f"induced morphism does not exist: {exc}"]
     if not (inst.is_mono(mbar) and inst.is_epi(mbar)):
@@ -579,11 +558,12 @@ def certify_morphism(inst: CategoryInstance, m: Mor, rng: random.Random):
     """Build and certify the kernel and the cokernel of m, and certify the
     induced coim(m) -> im(m) invertible, in one pass.
 
-    The induced map reads the coimage and the image off the kernel and
-    cokernel arrows built here, so m costs four kernel and cokernel
-    constructions.  Returns ((kobj, kmor), (cobj, cmor), violations), where
-    violations maps "kernel", "cokernel" and "induced", in this order, to
-    what verify_kernel_universal, verify_cokernel_universal and
+    A glued instance keeps the kernels and cokernels it has just built, so
+    verify_induced_iso reads ker m and coker m back rather than building
+    them again, and m costs four glued constructions.  Returns
+    ((kobj, kmor), (cobj, cmor), violations), where violations maps
+    "kernel", "cokernel" and "induced", in this order, to what
+    verify_kernel_universal, verify_cokernel_universal and
     verify_induced_iso would report; the two verifiers draw from rng in
     the same order as when called one after the other.
     """
@@ -591,7 +571,7 @@ def certify_morphism(inst: CategoryInstance, m: Mor, rng: random.Random):
     kernel = verify_kernel_universal(inst, m, kobj, kmor, rng)
     cobj, cmor = inst.cokernel(m)
     cokernel = verify_cokernel_universal(inst, m, cobj, cmor, rng)
-    induced = verify_induced_iso(inst, m, kmor, cmor)
+    induced = verify_induced_iso(inst, m)
     return (kobj, kmor), (cobj, cmor), {
         "kernel": kernel, "cokernel": cokernel, "induced": induced}
 
