@@ -25,7 +25,6 @@ from .linalg import (
     hash_once,
     image_basis,
     kernel_basis,
-    kron,
     quotient_map,
     solve,
     solve_left,
@@ -58,6 +57,18 @@ class FunctorSpec:
             if cls is not None and not isinstance(getattr(self, side), cls):
                 raise ValueError(f"{self.kind} needs a {cls.__name__} "
                                  f"category as its {side}")
+        if k.endo and self.target != self.source:
+            raise ValueError("this functor kind maps a category to itself; "
+                             "its target must be its source")
+        if len(self.params) != (k.param is not None):
+            raise ValueError(f"{self.kind} takes "
+                             + ("one parameter" if k.param else "none"))
+        if k.param in _BOUND:
+            v = self.params[0]
+            if not isinstance(v, int) or isinstance(v, bool) or \
+                    not 0 <= v < _BOUND[k.param](self.source):
+                raise ValueError(f"{self.kind}: {k.param} must be an integer "
+                                 f"in range, got {v!r}")
 
     @property
     def additive(self) -> bool:
@@ -73,20 +84,24 @@ class FunctorSpec:
         return KINDS[self.kind].contravariant
 
 
+def functor(kind: str, source: CategoryInstance, target: CategoryInstance,
+            *params) -> FunctorSpec:
+    """The functor of a kind with the exactness flags the kind declares."""
+    left, right = functor_kind(kind).flags(source, target, *params)
+    return FunctorSpec(kind, source, target, params, left, right)
+
+
 def identity_functor(inst: CategoryInstance) -> FunctorSpec:
-    return FunctorSpec("identity", inst, inst,
-                       left_exact=True, right_exact=True)
+    return functor("identity", inst, inst)
 
 
 def zero_functor(source: CategoryInstance, target: CategoryInstance) -> FunctorSpec:
-    return FunctorSpec("zero", source, target,
-                       left_exact=True, right_exact=True)
+    return functor("zero", source, target)
 
 
 def hom_from(source: CategoryInstance, x0, target: FinVect) -> FunctorSpec:
     """Hom(x0, -) into vector spaces; left exact always."""
-    return FunctorSpec("hom_from", source, target, params=(x0,),
-                       left_exact=True, right_exact=False)
+    return functor("hom_from", source, target, x0)
 
 
 def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
@@ -95,42 +110,23 @@ def hom_into(source: CategoryInstance, w, target: FinVect) -> FunctorSpec:
     On vector spaces this is exact in both output senses; on quiver
     representations only the left-exact side is declared.
     """
-    exact_source = isinstance(source, FinVect)
-    return FunctorSpec("hom_into", source, target, params=(w,),
-                       left_exact=True, right_exact=exact_source)
-
-
-# each of these checks its index once the spec has checked that the source
-# is a quiver category
+    return functor("hom_into", source, target, w)
 
 
 def eval_vertex(source: Rep, v: int, target: FinVect) -> FunctorSpec:
-    f = FunctorSpec("eval_vertex", source, target, params=(v,),
-                    left_exact=True, right_exact=True)
-    if not 0 <= v < source.quiver.vertices:
-        raise ValueError("vertex out of range")
-    return f
+    return functor("eval_vertex", source, target, v)
 
 
 def arrow_kernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
-    f = FunctorSpec("arrow_kernel", source, target, params=(a,),
-                    left_exact=True, right_exact=False)
-    if not 0 <= a < len(source.quiver.arrows):
-        raise ValueError("arrow out of range")
-    return f
+    return functor("arrow_kernel", source, target, a)
 
 
 def arrow_cokernel(source: Rep, a: int, target: FinVect) -> FunctorSpec:
-    f = FunctorSpec("arrow_cokernel", source, target, params=(a,),
-                    left_exact=False, right_exact=True)
-    if not 0 <= a < len(source.quiver.arrows):
-        raise ValueError("arrow out of range")
-    return f
+    return functor("arrow_cokernel", source, target, a)
 
 
 def tensor(inst: FinVect, w: int) -> FunctorSpec:
-    return FunctorSpec("tensor", inst, inst, params=(w,),
-                       left_exact=True, right_exact=True)
+    return functor("tensor", inst, inst, w)
 
 
 def one_plus(inst: FinVect) -> FunctorSpec:
@@ -139,14 +135,11 @@ def one_plus(inst: FinVect) -> FunctorSpec:
     Non-additive (it sends the zero map to a rank-one map) and exact in
     neither direction, which is the point of keeping it around.
     """
-    return FunctorSpec("one_plus", inst, inst,
-                       left_exact=False, right_exact=False)
+    return functor("one_plus", inst, inst)
 
 
 def constant(source: CategoryInstance, target: CategoryInstance, c0) -> FunctorSpec:
-    triv = target.is_zero_object(c0)
-    return FunctorSpec("constant", source, target, params=(c0,),
-                       left_exact=triv, right_exact=triv)
+    return functor("constant", source, target, c0)
 
 
 # -- the kind table ------------------------------------------------------
@@ -217,82 +210,89 @@ def _arrow_cokernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
 class FunctorKind:
     """One functor kind: F(x) = on_object(f, x); F(m) = on_morphism(f, m,
     s, t), s and t the mapped (for a contravariant f, swapped) endpoints;
-    make(source, target, *param) is its public constructor; contravariant
-    marks a kind whose morphism map reverses arrows.  param names
-    where a workspace entry supplies the parameter: None, an object of the
-    source or target category ("source_object", "target_object"), or the
-    entry's "vertex", "arrow" or "dim" field.  source and target, when set,
-    are the category types the maps need; FunctorSpec refuses any other.
+    flags(source, target, *params) is the declared (left_exact,
+    right_exact); contravariant marks a kind whose morphism map reverses
+    arrows.  param names where a workspace entry supplies the one
+    parameter: None for none, an object of the source or target category
+    ("source_object", "target_object"), or the entry's "vertex", "arrow"
+    or "dim" field, each an int in the range _BOUND gives.  source and
+    target, when set, are the category types the maps need, and endo
+    marks a kind whose target must be its source; FunctorSpec refuses a
+    spec that breaks any of these rules.
 
     Each kind's morphism map must be affine in m on every hom space:
     FunctorSpec.additive reads additivity off F(0) on that condition."""
 
     on_object: Callable
     on_morphism: Callable
-    make: Callable
+    flags: Callable
     param: Optional[str] = None
     source: Optional[type] = None
     target: Optional[type] = None
+    endo: bool = False
     contravariant: bool = False
 
 
-def _endo(make: Callable) -> Callable:
-    """The record constructor of an endofunctor kind: a workspace target
-    other than the source is refused, not dropped."""
-    def build(src, tgt, *param):
-        if tgt != src:
-            raise ValueError("this functor kind maps a category to itself; "
-                             "its target must be its source")
-        return make(src, *param)
-    return build
+# an integer parameter kind -> the bound it stays below, given the source
+_BOUND = {"vertex": lambda src: src.quiver.vertices,
+          "arrow": lambda src: len(src.quiver.arrows),
+          "dim": lambda src: float("inf")}
+
+
+def _exact(src, tgt, *params):
+    return True, True
+
+
+def _left(src, tgt, *params):
+    return True, False
 
 
 KINDS = {
-    "identity": FunctorKind(lambda f, x: x, lambda f, m, s, t: m,
-                            _endo(identity_functor)),
+    "identity": FunctorKind(lambda f, x: x, lambda f, m, s, t: m, _exact,
+                            endo=True),
     "zero": FunctorKind(lambda f, x: f.target.zero_object(),
                         lambda f, m, s, t: f.target.zero_morphism(s, t),
-                        zero_functor),
+                        _exact),
     "hom_from": FunctorKind(
         lambda f, x: len(_hom_data(f.source, f.params[0], x)[0]),
         lambda f, m, s, t: _hom_action(
             f, s, t, (f.params[0], m.source), (f.params[0], m.target),
             lambda phi: f.source.compose(m, phi)),
-        lambda src, tgt, x0: hom_from(src, x0, tgt), "source_object",
-        target=FinVect),
+        _left, "source_object", target=FinVect),
     "hom_into": FunctorKind(
         lambda f, x: len(_hom_data(f.source, x, f.params[0])[0]),
         lambda f, m, s, t: _hom_action(
             f, s, t, (m.target, f.params[0]), (m.source, f.params[0]),
             lambda psi: f.source.compose(psi, m)),
-        lambda src, tgt, w: hom_into(src, w, tgt), "source_object",
-        target=FinVect, contravariant=True),
+        lambda src, tgt, w: (True, isinstance(src, FinVect)),
+        "source_object", target=FinVect, contravariant=True),
     "eval_vertex": FunctorKind(
         lambda f, x: x.dims[f.params[0]],
         lambda f, m, s, t: Mor(s, t, m.data[f.params[0]]),
-        lambda src, tgt, v: eval_vertex(src, v, tgt), "vertex", Rep, FinVect),
+        _exact, "vertex", Rep, FinVect),
     "arrow_kernel": FunctorKind(
         lambda f, x: _arrow_kernel_incl(x, f.params[0]).cols,
-        _arrow_kernel_map,
-        lambda src, tgt, a: arrow_kernel(src, a, tgt), "arrow", Rep, FinVect),
+        _arrow_kernel_map, _left, "arrow", Rep, FinVect),
     "arrow_cokernel": FunctorKind(
         _arrow_cokernel_dim, _arrow_cokernel_map,
-        lambda src, tgt, a: arrow_cokernel(src, a, tgt), "arrow", Rep,
-        FinVect),
+        lambda src, tgt, a: (False, True), "arrow", Rep, FinVect),
+    # F(m) = kron(I_w, m): w copies of m down the diagonal, after a 0x0
+    # block so that w = 0 gives the 0x0 map
     "tensor": FunctorKind(
         lambda f, x: f.params[0] * x,
-        lambda f, m, s, t: Mor(s, t, kron(
-            Matrix.identity(f.params[0], f.target.field), m.data)),
-        _endo(tensor), "dim", FinVect, FinVect),
+        lambda f, m, s, t: Mor(s, t, block_diag(
+            [Matrix.zero(0, 0, f.target.field)] + [m.data] * f.params[0])),
+        _exact, "dim", FinVect, FinVect, endo=True),
     "one_plus": FunctorKind(
         lambda f, x: 1 + x,
         lambda f, m, s, t: Mor(s, t, block_diag(
             [Matrix.identity(1, f.target.field), m.data])),
-        _endo(one_plus), source=FinVect, target=FinVect),
+        lambda src, tgt: (False, False), source=FinVect, target=FinVect,
+        endo=True),
     "constant": FunctorKind(
         lambda f, x: f.params[0],
         lambda f, m, s, t: f.target.identity(f.params[0]),
-        constant, "target_object"),
+        lambda src, tgt, c0: (tgt.is_zero_object(c0),) * 2, "target_object"),
 }
 
 

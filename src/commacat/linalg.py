@@ -224,21 +224,6 @@ def block_diag(mats) -> Matrix:
     return _made(rows, cols, p, tuple(out))
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    if a.modulus != b.modulus:
-        raise ShapeError("mixed moduli")
-    p = a.modulus
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = []
-    for ia in range(a.rows):
-        for ib in range(b.rows):
-            for ja in range(a.cols):
-                aa = a.entry(ia, ja)
-                for jb in range(b.cols):
-                    out.append(aa * b.entry(ib, jb) % p)
-    return _made(rows, cols, p, tuple(out))
-
-
 @dataclass(frozen=True)
 class RrefResult:
     matrix: Matrix

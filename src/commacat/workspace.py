@@ -23,7 +23,7 @@ from .cocomma import CoCommaCategory
 from .comma import CommaCategory
 from .core import Mor
 from .errors import SpecError
-from .functors import FunctorSpec, apply_on_object, functor_kind
+from .functors import FunctorSpec, apply_on_object, functor, functor_kind
 from .instances import Budget, FinVect, Quiver, Rep, ToyGeometryConfig
 from .linalg import BudgetExceeded, Matrix
 from .stability import GaussianRational, StabilityFunction
@@ -214,18 +214,15 @@ def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
             raise SpecError(f"{where}: unknown target category")
 
     try:
-        record = functor_kind(kind)
-        how = record.param
+        how = functor_kind(kind).param
         if how in ("source_object", "target_object"):
             home = src if how == "source_object" else tgt
             param = (_category_object(ws, home, _name(entry, "object", where),
                                       where),)
-        elif how == "dim":
-            param = (_count(_need(entry, "dim", where), f"{where}.dim"),)
-        else:  # none, or a vertex or arrow index the constructor checks
+        else:  # none, or a vertex, arrow or dim the spec checks
             param = () if how is None else (_need(entry, how, where),)
-        spec = record.make(src, tgt, *param)
-    except (ValueError, TypeError) as exc:
+        spec = functor(kind, src, tgt, *param)
+    except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
     declare = entry.get("declare", {})
     if not isinstance(declare, dict):

@@ -274,6 +274,19 @@ MALFORMED = {
         [("categories", "q", QUIVER),
          ("functors", "t", {"kind": "tensor", "category": "q", "dim": 2})],
         VALIDATE),
+    # a vertex or arrow index that is not an integer
+    "eval-vertex-a-float": (
+        [("categories", "q", QUIVER),
+         ("functors", "h", {"kind": "eval_vertex", "category": "q",
+                            "target": "vect", "vertex": 0.0})], VALIDATE),
+    "arrow-kernel-a-float": (
+        [("categories", "q", QUIVER),
+         ("functors", "h", {"kind": "arrow_kernel", "category": "q",
+                            "target": "vect", "arrow": 0.0})], VALIDATE),
+    "eval-vertex-false": (
+        [("categories", "q", QUIVER),
+         ("functors", "h", {"kind": "eval_vertex", "category": "q",
+                            "target": "vect", "vertex": False})], VALIDATE),
     # an endofunctor kind with a target other than its source
     "tensor-into-another-category": (
         [("categories", "q", QUIVER),

@@ -217,3 +217,43 @@ def test_functor_images_are_valid_morphisms():
         fm = apply_on_morphism(g, m)
         assert (fm.source, fm.target) == (apply_on_object(g, y),
                                           apply_on_object(g, x))
+
+
+# specs that break a kind rule, however they are built
+BROKEN_SPECS = {
+    "identity-into-another-category": lambda: FunctorSpec("identity", REP, VECT),
+    "vertex-out-of-range": lambda: FunctorSpec("eval_vertex", REP, VECT,
+                                               params=(7,)),
+    "tensor-without-its-dim": lambda: FunctorSpec("tensor", VECT, VECT),
+    "vertex-a-bool": lambda: dataclasses.replace(eval_vertex(REP, 0, VECT),
+                                                 params=(True,)),
+    "dim-a-float": lambda: dataclasses.replace(tensor(VECT, 2),
+                                               params=(2.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SPECS))
+def test_functor_spec_refuses_a_broken_kind_rule(case):
+    with pytest.raises(ValueError):
+        BROKEN_SPECS[case]()
+
+
+def _kron_identity(w, m):
+    """kron(I_w, m), entry by entry."""
+    rows, cols = w * m.rows, w * m.cols
+    return Matrix.build(rows, cols, m.modulus, (
+        m.entry(i % m.rows, j % m.cols) if i // m.rows == j // m.cols else 0
+        for i in range(rows) for j in range(cols)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("w", range(4))
+def test_tensor_maps_m_to_kron_of_the_identity_and_m(p, w):
+    vect = FinVect(p)
+    f = tensor(vect, w)
+    rng = random.Random(10 * p + w)
+    for x, y in ((0, 0), (0, 2), (2, 0), (1, 3), (3, 2), (2, 2)):
+        m = random_hom(vect, rng, x, y)
+        fm = apply_on_morphism(f, m)
+        assert (fm.source, fm.target) == (w * x, w * y)
+        assert fm.data == _kron_identity(w, m.data)

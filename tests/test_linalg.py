@@ -15,7 +15,6 @@ from commacat.linalg import (
     hstack,
     image_basis,
     kernel_basis,
-    kron,
     quotient_map,
     rank,
     rref,
@@ -91,13 +90,11 @@ def test_mul_shape_mismatch():
         mat2([[1, 0]]).mul(mat2([[1, 0]]))
 
 
-def test_stack_and_kron_shapes():
+def test_stack_shapes():
     a = mat2([[1, 0], [0, 1]])
     b = mat2([[1, 1]])
     assert vstack([a, b]).rows == 3
     assert hstack([a, a]).cols == 4
-    k = kron(a, mat2([[1], [1]]))
-    assert (k.rows, k.cols) == (4, 2)
 
 
 # -- row reduction -------------------------------------------------------

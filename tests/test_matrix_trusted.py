@@ -26,7 +26,6 @@ from commacat.linalg import (
     block_diag,
     hstack,
     kernel_basis,
-    kron,
     quotient_map,
     rref,
     solve,
@@ -54,7 +53,7 @@ def _results(rng, p, r, c, k):
     a = _random(rng, r, c, p)
     right = _random(rng, c, k, p)
     out = [a.mul(right), a.transpose(), hstack([a, _random(rng, r, k, p)]),
-           vstack([a, _random(rng, k, c, p)]), block_diag([a, right]), kron(a, right),
+           vstack([a, _random(rng, k, c, p)]), block_diag([a, right]),
            rref(a).matrix, kernel_basis(a).basis]
     # right-hand sides that are solvable, so the solutions are built too
     out.append(solve(a, a.mul(right)))

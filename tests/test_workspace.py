@@ -34,6 +34,7 @@ from commacat.workspace import (
     serialize_morphism,
     serialize_object,
 )
+from test_fuzz_cli import RETYPED
 
 ARROW_PATH = default_workspace_path()
 
@@ -196,11 +197,9 @@ FUNCTOR_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_every_functor_kind_loads_as_its_constructor(tmp_path, kind):
-    """A workspace entry of each kind in the table builds the FunctorSpec
-    its public constructor builds, parameter and flags included."""
-    entry, expected = FUNCTOR_CASES[kind]
+def load_functor(tmp_path, entry):
+    """A workspace over F_3 with the categories vect and mods (the one-arrow
+    quiver), two objects, and the one functor entry f."""
     doc = {
         "schema": SCHEMA,
         "field_modulus": 3,
@@ -210,13 +209,43 @@ def test_every_functor_kind_loads_as_its_constructor(tmp_path, kind):
         "objects": {"plane": {"category": "vect", "dim": 2},
                     "edge": {"category": "mods", "dims": [1, 2],
                              "maps": [[[1], [2]]]}},
-        "functors": {"f": dict(entry, kind=kind)},
+        "functors": {"f": entry},
     }
     out = tmp_path / "ws.json"
     out.write_text(json.dumps(doc))
-    ws = load_workspace(str(out))
+    return load_workspace(str(out))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_functor_kind_loads_as_its_constructor(tmp_path, kind):
+    """A workspace entry of each kind in the table builds the FunctorSpec
+    its public constructor builds, parameter and flags included."""
+    entry, expected = FUNCTOR_CASES[kind]
+    ws = load_functor(tmp_path, dict(entry, kind=kind))
     objects = {name: obj for name, (_, obj) in ws.objects.items()}
     assert ws.functors["f"] == expected(ws.categories, objects)
+
+
+# kind -> (its source, the entry field of its integer parameter, the
+# bound the parameter stays below)
+INTEGER_PARAMS = {"eval_vertex": ("mods", "vertex", 2),
+                  "arrow_kernel": ("mods", "arrow", 1),
+                  "arrow_cokernel": ("mods", "arrow", 1),
+                  "tensor": ("vect", "dim", float("inf"))}
+
+
+@pytest.mark.parametrize("value", RETYPED + [0.0, 1.0], ids=repr)
+@pytest.mark.parametrize("kind", sorted(INTEGER_PARAMS))
+def test_an_integer_parameter_loads_in_range_or_not_at_all(tmp_path, kind,
+                                                          value):
+    source, key, bound = INTEGER_PARAMS[kind]
+    try:
+        ws = load_functor(tmp_path, {"kind": kind, "category": source,
+                                     "target": "vect", key: value})
+    except SpecError:
+        return
+    param, = ws.functors["f"].params
+    assert type(param) is int and 0 <= param < bound
 
 
 def test_declare_rejects_unknown_flags(tmp_path):
