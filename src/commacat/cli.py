@@ -52,6 +52,7 @@ from .workspace import (
     bundled_workspace_path,
     format_rational,
     load_workspace,
+    lookup,
     parse_rational,
     serialize_morphism,
     serialize_object,
@@ -164,13 +165,11 @@ def _cmd_image(ws: Workspace, args, seed: int):
 
 
 def _cmd_subobjects(ws: Workspace, args, seed: int):
-    if args.context not in ws.contexts:
-        raise SpecError(f"unknown context {args.context!r}")
+    cat = lookup(ws.contexts, args.context, "context")
     home_name, home, x = ws.home_of(args.object)
     if home_name != args.context:
         raise SpecError(f"object {args.object!r} lives in {home_name!r}, "
                         f"not {args.context!r}")
-    cat = ws.contexts[args.context]
     entries = []
     for s in cat.enumerate_subobjects(x):
         entries.append({
@@ -200,14 +199,8 @@ def _cmd_kclass(ws: Workspace, args, seed: int):
     return 0, results, {"checks": 1}
 
 
-def _resolve_stability(ws: Workspace, name: str):
-    if name not in ws.stability:
-        raise SpecError(f"unknown stability table {name!r}")
-    return ws.stability[name]
-
-
 def _cmd_hn(ws: Workspace, args, seed: int):
-    z = _resolve_stability(ws, args.stability)
+    z = lookup(ws.stability, args.stability, "stability table")
     home_name, home, x = ws.home_of(args.object)
     if home.is_zero_object(x):
         raise SpecError("the zero object has no filtration")
@@ -258,9 +251,7 @@ def _cmd_scan_alpha(ws: Workspace, args, seed: int):
     home_name, home, x = ws.home_of(args.system)
     if not isinstance(home, CommaCategory):
         raise SpecError("scan-alpha expects an object in a glued context")
-    if args.geometry not in ws.geometries:
-        raise SpecError(f"unknown geometry {args.geometry!r}")
-    geometry = ws.geometries[args.geometry]
+    geometry = lookup(ws.geometries, args.geometry, "geometry")
     ranks = (home.left.class_rank, home.right.class_rank)
     if (len(geometry.dim_gamma), len(geometry.deg)) != ranks:
         raise SpecError(f"geometry {args.geometry!r} does not fit the class "
@@ -333,19 +324,29 @@ def _cmd_selftest(ws: Workspace, args, seed: int):
     return (0 if all_passed else 1), results, {"checks": checks}
 
 
+# subcommand -> (its handler, its positional arguments, its help line)
 COMMANDS = {
-    "validate": _cmd_validate,
-    "kernel": _cmd_kernel_cokernel,
-    "cokernel": _cmd_kernel_cokernel,
-    "image": _cmd_image,
-    "subobjects": _cmd_subobjects,
-    "kclass": _cmd_kclass,
-    "hn": _cmd_hn,
-    "jh": _cmd_jh,
-    "scan-alpha": _cmd_scan_alpha,
-    "counterexample": _cmd_counterexample,
-    "selftest": _cmd_selftest,
+    "validate": (_cmd_validate, (), "run the axiom suites"),
+    "kernel": (_cmd_kernel_cokernel, ("context", "morphism"),
+               "compute a kernel with certificates"),
+    "cokernel": (_cmd_kernel_cokernel, ("context", "morphism"),
+                 "compute a cokernel with certificates"),
+    "image": (_cmd_image, ("context", "morphism"),
+              "compute an image with certificates"),
+    "subobjects": (_cmd_subobjects, ("context", "object"),
+                   "enumerate every subobject"),
+    "kclass": (_cmd_kclass, ("object",), "class vector and its split parts"),
+    "hn": (_cmd_hn, ("stability", "object"),
+           "slope filtration with certificates"),
+    "jh": (_cmd_jh, ("object",), "composition series"),
+    "scan-alpha": (_cmd_scan_alpha, ("system", "geometry", "range"),
+                   "wall finding over a weight range"),
+    "counterexample": (_cmd_counterexample, (),
+                       "reproduce the non-additive-leg example"),
+    "selftest": (_cmd_selftest, (), "full acceptance suite"),
 }
+# the positional arguments whose meaning their name does not carry
+_ARGUMENT_HELP = {"range": "rational interval lo:hi, e.g. 1/2:4"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -360,43 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="commacat",
                      description="comma-construction workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, positionals, help_line) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for arg in positionals:
+            p.add_argument(arg, help=_ARGUMENT_HELP.get(arg))
         p.add_argument("--spec", help="workspace file "
                        "(default: the bundled arrow workspace)")
         p.add_argument("--out", help="report path (default: stdout)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None,
                        help="max enumerable vectors per sweep")
-
-    common(sub.add_parser("validate", help="run the axiom suites"))
-    for name in ("kernel", "cokernel", "image"):
-        p = sub.add_parser(name, help=f"compute a {name} with certificates")
-        p.add_argument("context")
-        p.add_argument("morphism")
-        common(p)
-    p = sub.add_parser("subobjects", help="enumerate every subobject")
-    p.add_argument("context")
-    p.add_argument("object")
-    common(p)
-    p = sub.add_parser("kclass", help="class vector and its split parts")
-    p.add_argument("object")
-    common(p)
-    p = sub.add_parser("hn", help="slope filtration with certificates")
-    p.add_argument("stability")
-    p.add_argument("object")
-    common(p)
-    p = sub.add_parser("jh", help="composition series")
-    p.add_argument("object")
-    common(p)
-    p = sub.add_parser("scan-alpha", help="wall finding over a weight range")
-    p.add_argument("system")
-    p.add_argument("geometry")
-    p.add_argument("range", help="rational interval lo:hi, e.g. 1/2:4")
-    common(p)
-    common(sub.add_parser("counterexample",
-                          help="reproduce the non-additive-leg example"))
-    common(sub.add_parser("selftest", help="full acceptance suite"))
     return parser
 
 
@@ -420,7 +394,8 @@ def main(argv=None) -> int:
         ws = load_workspace(spec_path, budget_override=args.budget,
                             seed_override=args.seed)
         seed = ws.seed
-        code, results, timing = COMMANDS[args.command](ws, args, seed)
+        run = COMMANDS[args.command][0]
+        code, results, timing = run(ws, args, seed)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 3

@@ -232,12 +232,11 @@ class CommaCategory(CategoryInstance):
         return (x, y) if self.left_reversed else (y, x)
 
     def obj(self, a, b, alpha: Mor) -> CommaObject:
-        fa = apply_on_object(self.left_functor, a)
-        gb = apply_on_object(self.right_functor, b)
-        if alpha.source != fa or alpha.target != gb:
-            raise ValueError("structure map endpoints disagree with the "
-                             "functor images of the component objects")
-        return self._object_class(a, b, alpha)
+        x = self._object_class(a, b, alpha)
+        if not self.is_object(x):
+            raise ValueError("need objects of the component categories and "
+                             "a structure map between their functor images")
+        return x
 
     def mor(self, x: CommaObject, y: CommaObject, fa: Mor, gb: Mor) -> Mor:
         if (fa.source, fa.target) != self.left_ends(x, y):
@@ -292,6 +291,15 @@ class CommaCategory(CategoryInstance):
 
     def is_zero_object(self, x) -> bool:
         return self.left.is_zero_object(x.a) and self.right.is_zero_object(x.b)
+
+    def is_object(self, x) -> bool:
+        """Whether x is a triple of this construction: objects of the
+        component categories and a structure map between their images."""
+        return (type(x) is self._object_class and self.left.is_object(x.a)
+                and self.right.is_object(x.b) and isinstance(x.alpha, Mor)
+                and (x.alpha.source, x.alpha.target)
+                == (apply_on_object(self.left_functor, x.a),
+                    apply_on_object(self.right_functor, x.b)))
 
     def dim_total(self, x) -> int:
         return self.left.dim_total(x.a) + self.right.dim_total(x.b)

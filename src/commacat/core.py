@@ -105,6 +105,10 @@ class CategoryInstance(abc.ABC):
         ...
 
     @abc.abstractmethod
+    def is_object(self, x) -> bool:
+        """Whether x is an object of this instance."""
+
+    @abc.abstractmethod
     def dim_total(self, x) -> int:
         """Total dimension over F_p, used for budgets and sweep bounds."""
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .core import (CategoryInstance, CheckReport, Mor, exact_at_middle, random_hom,
                    subobject_ses)
 from .errors import ExactnessViolation
-from .instances import FinVect, Rep, RepObject
+from .instances import FinVect, Rep, RepObject, is_int
 from .linalg import (
     Matrix,
     block_diag,
@@ -63,12 +63,11 @@ class FunctorSpec:
         if len(self.params) != (k.param is not None):
             raise ValueError(f"{self.kind} takes "
                              + ("one parameter" if k.param else "none"))
-        if k.param in _BOUND:
-            v = self.params[0]
-            if not isinstance(v, int) or isinstance(v, bool) or \
-                    not 0 <= v < _BOUND[k.param](self.source):
-                raise ValueError(f"{self.kind}: {k.param} must be an integer "
-                                 f"in range, got {v!r}")
+        if k.param is not None:
+            fits, what = _PARAMS[k.param]
+            if not fits(self, self.params[0]):
+                raise ValueError(f"{self.kind}: its parameter must be {what}, "
+                                 f"got {self.params[0]!r}")
 
     @property
     def additive(self) -> bool:
@@ -215,10 +214,10 @@ class FunctorKind:
     arrows.  param names where a workspace entry supplies the one
     parameter: None for none, an object of the source or target category
     ("source_object", "target_object"), or the entry's "vertex", "arrow"
-    or "dim" field, each an int in the range _BOUND gives.  source and
-    target, when set, are the category types the maps need, and endo
-    marks a kind whose target must be its source; FunctorSpec refuses a
-    spec that breaks any of these rules.
+    or "dim" field, each an int in range; _PARAMS says what fits each.
+    source and target, when set, are the category types the maps need,
+    and endo marks a kind whose target must be its source; FunctorSpec
+    refuses a spec that breaks any of these rules.
 
     Each kind's morphism map must be affine in m on every hom space:
     FunctorSpec.additive reads additivity off F(0) on that condition."""
@@ -233,10 +232,23 @@ class FunctorKind:
     contravariant: bool = False
 
 
-# an integer parameter kind -> the bound it stays below, given the source
-_BOUND = {"vertex": lambda src: src.quiver.vertices,
-          "arrow": lambda src: len(src.quiver.arrows),
-          "dim": lambda src: float("inf")}
+def _index(v, bound) -> bool:
+    """Whether v is an int (not a bool) in range(bound)."""
+    return is_int(v) and 0 <= v < bound
+
+
+# a parameter kind -> (whether a value fits it, given the spec; what fits)
+_PARAMS = {
+    "vertex": (lambda f, v: _index(v, f.source.quiver.vertices),
+               "a vertex index of the source quiver"),
+    "arrow": (lambda f, v: _index(v, len(f.source.quiver.arrows)),
+              "an arrow index of the source quiver"),
+    "dim": (lambda f, v: _index(v, float("inf")), "a nonnegative integer"),
+    "source_object": (lambda f, v: f.source.is_object(v),
+                      "an object of the source category"),
+    "target_object": (lambda f, v: f.target.is_object(v),
+                      "an object of the target category"),
+}
 
 
 def _exact(src, tgt, *params):

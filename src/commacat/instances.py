@@ -50,7 +50,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _is_int(v) -> bool:
+def is_int(v) -> bool:
     """Whether v is an int proper; a bool is not one here."""
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -80,6 +80,9 @@ class FinVect(CategoryInstance):
 
     def is_zero_object(self, x) -> bool:
         return x == 0
+
+    def is_object(self, x) -> bool:
+        return is_int(x) and x >= 0
 
     def dim_total(self, x) -> int:
         return x
@@ -207,7 +210,7 @@ class Quiver:
             raise ValueError("negative vertex count")
         for a in self.arrows:
             s, t = a
-            if not (_is_int(s) and _is_int(t)):
+            if not (is_int(s) and is_int(t)):
                 raise ValueError(f"arrow {a} has a non-integer endpoint")
             if not (0 <= s < self.vertices and 0 <= t < self.vertices):
                 raise ValueError(f"arrow {a} out of range")
@@ -257,17 +260,11 @@ class Rep(CategoryInstance):
         check_prime(self.field)
 
     def obj(self, dims, maps) -> RepObject:
-        dims = tuple(int(d) for d in dims)
-        maps = tuple(maps)
-        if len(dims) != self.quiver.vertices:
-            raise ValueError("dimension vector length disagrees with quiver")
-        if len(maps) != len(self.quiver.arrows):
-            raise ValueError("need one matrix per arrow")
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            m = maps[a]
-            if m.modulus != self.field or (m.rows, m.cols) != (dims[t], dims[s]):
-                raise ValueError(f"arrow matrix {a} has the wrong shape or field")
-        return RepObject(dims, maps)
+        x = RepObject(tuple(dims), tuple(maps))
+        if not self.is_object(x):
+            raise ValueError("need one nonnegative dimension per vertex and "
+                             "one matrix per arrow, of its shape and field")
+        return x
 
     # objects
 
@@ -282,6 +279,16 @@ class Rep(CategoryInstance):
 
     def is_zero_object(self, x) -> bool:
         return all(d == 0 for d in x.dims)
+
+    def is_object(self, x) -> bool:
+        """Whether x is a representation of this quiver over this field."""
+        return (isinstance(x, RepObject)
+                and len(x.dims) == self.quiver.vertices
+                and all(is_int(d) and d >= 0 for d in x.dims)
+                and len(x.maps) == len(self.quiver.arrows)
+                and all(isinstance(m, Matrix) and m.modulus == self.field
+                        and (m.rows, m.cols) == (x.dims[t], x.dims[s])
+                        for m, (s, t) in zip(x.maps, self.quiver.arrows)))
 
     def dim_total(self, x) -> int:
         return sum(x.dims)
@@ -585,7 +592,7 @@ class ToyGeometryConfig:
     def __post_init__(self):
         if len(self.deg) != len(self.rk) or not self.deg or not self.dim_gamma:
             raise ValueError("deg and rk must be equal-length non-empty tuples")
-        if not all(map(_is_int, self.deg + self.rk + self.dim_gamma)):
+        if not all(map(is_int, self.deg + self.rk + self.dim_gamma)):
             raise ValueError("deg, rk and dim_gamma entries must be integers")
         for d, r in zip(self.deg, self.rk):
             if r < 0:

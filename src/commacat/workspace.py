@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -71,28 +72,27 @@ class Workspace:
     geometries: dict = field(default_factory=dict)
     scans: dict = field(default_factory=dict)
 
+    def home(self, name: str):
+        """The category or context of that name; a context never shares
+        its name with a category."""
+        return self.categories.get(name) or self.contexts.get(name)
+
     def home_of(self, obj_name: str):
         """(home name, home category/context, object) for a named object,
         which must fit the budget's max_total_dim."""
-        if obj_name not in self.objects:
-            raise SpecError(f"unknown object {obj_name!r}")
-        home_name, obj = self.objects[obj_name]
-        home = self.categories.get(home_name) or self.contexts.get(home_name)
+        home_name, obj = lookup(self.objects, obj_name, "object")
+        home = self.home(home_name)
         self._fit(home, obj, f"object {obj_name!r}")
         return home_name, home, obj
 
     def named_morphism(self, ctx_name: str, mor_name: str):
         """(context, morphism) for a named morphism of the named context,
         whose source and target must fit the budget's max_total_dim."""
-        if ctx_name not in self.contexts:
-            raise SpecError(f"unknown context {ctx_name!r}")
-        if mor_name not in self.morphisms:
-            raise SpecError(f"unknown morphism {mor_name!r}")
-        home, m = self.morphisms[mor_name]
+        cat = lookup(self.contexts, ctx_name, "context")
+        home, m = lookup(self.morphisms, mor_name, "morphism")
         if home != ctx_name:
             raise SpecError(f"morphism {mor_name!r} lives in context "
                             f"{home!r}, not {ctx_name!r}")
-        cat = self.contexts[ctx_name]
         self._fit(cat, m.source, f"the source of morphism {mor_name!r}")
         self._fit(cat, m.target, f"the target of morphism {mor_name!r}")
         return cat, m
@@ -104,11 +104,23 @@ class Workspace:
                                  f"above max_total_dim {bound}")
 
 
-def _kind(table: dict, kind, where: str, what: str):
-    """The entry of a kind table that a workspace "kind" field names."""
-    if isinstance(kind, str) and kind in table:
-        return table[kind]
-    raise SpecError(f"{where}: unknown {what} {kind!r}")
+def lookup(table: dict, name, what: str, where: str = ""):
+    """The entry of table that name names, or SpecError naming where,
+    what and name."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    prefix = f"{where}: " if where else ""
+    raise SpecError(f"{prefix}unknown {what} {name!r}")
+
+
+@contextmanager
+def _refused(where: str, errors=ValueError):
+    """Turn a constructor's refusal, one of errors, into a SpecError at
+    where."""
+    try:
+        yield
+    except errors as exc:
+        raise SpecError(f"{where}: {exc}") from exc
 
 
 def _need(table: dict, key: str, where: str):
@@ -177,10 +189,8 @@ def _instance_object(cat, entry: dict, p: int, where: str):
         for a, (s, t) in enumerate(cat.quiver.arrows):
             maps.append(_build_matrix(dims[t], dims[s], p, raw_maps[a],
                                       f"{where}.maps[{a}]"))
-        try:
+        with _refused(where):
             return cat.obj(dims, maps)
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
     raise SpecError(f"{where}: unsupported category kind")
 
 
@@ -194,36 +204,30 @@ def _instance_component(cat, src, tgt, data, p: int, where: str) -> Mor:
         mats = [_build_matrix(tgt.dims[v], src.dims[v], p, data[v],
                               f"{where}[{v}]")
                 for v in range(cat.quiver.vertices)]
-        try:
+        with _refused(where):
             return cat.mor(src, tgt, mats)
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
     raise SpecError(f"{where}: unsupported category kind")
 
 
 def _build_functor(ws: Workspace, name: str, entry: dict) -> FunctorSpec:
     where = f"functors.{name}"
     kind = _need(entry, "kind", where)
-    src = ws.categories.get(_name(entry, "category", where))
-    if src is None:
-        raise SpecError(f"{where}: unknown source category")
+    src = lookup(ws.categories, _name(entry, "category", where),
+                 "source category", where)
     tgt = src
     if "target" in entry:
-        tgt = ws.categories.get(_name(entry, "target", where))
-        if tgt is None:
-            raise SpecError(f"{where}: unknown target category")
+        tgt = lookup(ws.categories, _name(entry, "target", where),
+                     "target category", where)
 
-    try:
+    with _refused(where):
         how = functor_kind(kind).param
         if how in ("source_object", "target_object"):
             home = src if how == "source_object" else tgt
-            param = (_category_object(ws, home, _name(entry, "object", where),
-                                      where),)
+            param = (_object_in(ws, home, _name(entry, "object", where),
+                                where),)
         else:  # none, or a vertex, arrow or dim the spec checks
             param = () if how is None else (_need(entry, how, where),)
         spec = functor(kind, src, tgt, *param)
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from exc
     declare = entry.get("declare", {})
     if not isinstance(declare, dict):
         raise SpecError(f"{where}: declare must be an object of flags")
@@ -259,21 +263,17 @@ def _build_stability(name: str, entry: dict) -> StabilityFunction:
     left_rank = entry.get("left_rank")
     if left_rank is not None:
         _count(left_rank, f"{where}.left_rank")
-    try:
+    with _refused(where):
         return StabilityFunction(tuple(coeffs), left_rank=left_rank)
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
 
 def _build_geometry(name: str, entry: dict) -> ToyGeometryConfig:
     where = f"stability.{name}"
-    try:
+    with _refused(where, (ValueError, TypeError)):
         return ToyGeometryConfig(
             deg=tuple(_need(entry, "deg", where)),
             rk=tuple(_need(entry, "rk", where)),
             dim_gamma=tuple(_need(entry, "dim_gamma", where)))
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
 
 _CATEGORY_KINDS = {
@@ -336,12 +336,10 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
 
     for name, entry in _section(doc, "categories").items():
         where = f"categories.{name}"
-        make = _kind(_CATEGORY_KINDS, _need(entry, "kind", where), where,
-                     "category kind")
-        try:
+        make = lookup(_CATEGORY_KINDS, _need(entry, "kind", where),
+                      "category kind", where)
+        with _refused(where, (ValueError, TypeError)):
             ws.categories[name] = make(entry, p, budget, where)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{where}: {exc}") from exc
 
     # instance-level objects first: functor parameters may name them
     context_objects = {}
@@ -351,9 +349,7 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
             context_objects[name] = entry
             continue
         cat_name = _name(entry, "category", where)
-        cat = ws.categories.get(cat_name)
-        if cat is None:
-            raise SpecError(f"{where}: unknown category {cat_name!r}")
+        cat = lookup(ws.categories, cat_name, "category", where)
         ws.objects[name] = (cat_name, _instance_object(cat, entry, p, where))
 
     for name, entry in _section(doc, "functors").items():
@@ -361,47 +357,37 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
 
     for name, entry in _section(doc, "contexts").items():
         where = f"contexts.{name}"
-        glued = _kind(_CONTEXT_KINDS, _need(entry, "kind", where), where,
-                      "context kind")
-        left = ws.functors.get(_name(entry, "left", where))
-        right = ws.functors.get(_name(entry, "right", where))
-        if left is None or right is None:
-            raise SpecError(f"{where}: unknown functor name")
+        if name in ws.categories:
+            raise SpecError(f"{where}: a category is named {name!r} too")
+        glued = lookup(_CONTEXT_KINDS, _need(entry, "kind", where),
+                       "context kind", where)
+        left, right = (lookup(ws.functors, _name(entry, side, where),
+                              "functor", where) for side in ("left", "right"))
         assume = _flag(entry.get("assume_abelian", False),
                        f"{where}.assume_abelian")
-        try:
+        with _refused(where):
             ws.contexts[name] = glued(left, right, budget, assume)
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
 
     for name, entry in context_objects.items():
         where = f"objects.{name}"
         ctx_name = _name(entry, "context", where)
-        ctx = ws.contexts.get(ctx_name)
-        if ctx is None:
-            raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        a = _category_object(ws, ctx.left, _name(entry, "a", where), where)
-        b = _category_object(ws, ctx.right, _name(entry, "b", where), where)
+        ctx = lookup(ws.contexts, ctx_name, "context", where)
+        a = _object_in(ws, ctx.left, _name(entry, "a", where), where)
+        b = _object_in(ws, ctx.right, _name(entry, "b", where), where)
         fa = apply_on_object(ctx.left_functor, a)
         gb = apply_on_object(ctx.right_functor, b)
         alpha = _instance_component(ctx.cone, fa, gb,
                                     _need(entry, "alpha", where), p,
                                     f"{where}.alpha")
-        try:
+        with _refused(where):
             ws.objects[name] = (ctx_name, ctx.obj(a, b, alpha))
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
 
     for name, entry in _section(doc, "morphisms").items():
         where = f"morphisms.{name}"
         ctx_name = _name(entry, "context", where)
-        ctx = ws.contexts.get(ctx_name)
-        if ctx is None:
-            raise SpecError(f"{where}: unknown context {ctx_name!r}")
-        src = _named_context_object(ws, ctx_name, _name(entry, "source", where),
-                                    where)
-        tgt = _named_context_object(ws, ctx_name, _name(entry, "target", where),
-                                    where)
+        ctx = lookup(ws.contexts, ctx_name, "context", where)
+        src, tgt = (_object_in(ws, ctx, _name(entry, end, where), where)
+                    for end in ("source", "target"))
         f_src, f_tgt = ctx.left_ends(src, tgt)
         f = _instance_component(ctx.left, f_src, f_tgt,
                                 _need(entry, "left", where), p,
@@ -409,26 +395,22 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
         g = _instance_component(ctx.right, src.b, tgt.b,
                                 _need(entry, "right", where), p,
                                 f"{where}.right")
-        try:
+        with _refused(where):
             ws.morphisms[name] = (ctx_name, ctx.mor(src, tgt, f, g))
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
 
     for name, entry in _section(doc, "stability").items():
-        slot, build = _kind(_STABILITY_KINDS, entry.get("kind", "table"),
-                            f"stability.{name}", "kind")
+        slot, build = lookup(_STABILITY_KINDS, entry.get("kind", "table"),
+                             "stability kind", f"stability.{name}")
         getattr(ws, slot)[name] = build(name, entry)
 
     for name, entry in _section(doc, "scans").items():
         where = f"scans.{name}"
         ctx_name = _name(entry, "context", where)
-        if ctx_name not in ws.contexts:
-            raise SpecError(f"{where}: unknown context {ctx_name!r}")
+        ctx = lookup(ws.contexts, ctx_name, "context", where)
         obj_name = _name(entry, "object", where)
-        _named_context_object(ws, ctx_name, obj_name, where)
+        _object_in(ws, ctx, obj_name, where)
         geom_name = _name(entry, "geometry", where)
-        if geom_name not in ws.geometries:
-            raise SpecError(f"{where}: unknown geometry {geom_name!r}")
+        lookup(ws.geometries, geom_name, "geometry", where)
         ws.scans[name] = {
             "context": ctx_name,
             "object": obj_name,
@@ -439,24 +421,12 @@ def load_workspace(path: str, budget_override: Optional[int] = None,
     return ws
 
 
-def _category_object(ws: Workspace, cat, name: str, where: str):
-    """A named object of the instance category cat."""
-    if name not in ws.objects:
-        raise SpecError(f"{where}: unknown object {name!r}")
-    home_name, obj = ws.objects[name]
-    if ws.categories.get(home_name) is not cat:
+def _object_in(ws: Workspace, home, name: str, where: str):
+    """A named object of home, an instance category or a glued context."""
+    home_name, obj = lookup(ws.objects, name, "object", where)
+    if ws.home(home_name) is not home:
         raise SpecError(f"{where}: object {name!r} lives in {home_name!r}, "
-                        "not in the category this entry needs")
-    return obj
-
-
-def _named_context_object(ws: Workspace, ctx_name: str, name: str, where: str):
-    if name not in ws.objects:
-        raise SpecError(f"{where}: unknown object {name!r}")
-    home_name, obj = ws.objects[name]
-    if home_name != ctx_name:
-        raise SpecError(f"{where}: object {name!r} lives in {home_name!r}, "
-                        f"expected context {ctx_name!r}")
+                        "not in the category or context this entry needs")
     return obj
 
 

@@ -2,6 +2,7 @@
 workspace, the exit-code contract, and byte determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,100 @@ def test_exit_3_on_usage_error():
 
 def test_exit_3_on_unknown_name():
     run_cli("hn", "Z", "no_such_object", check_code=3)
+
+
+# each name a subcommand looks up, set to one the workspace lacks, and
+# the workspace it runs on
+UNKNOWN_NAMES = {
+    "kernel-context": (("kernel", "nowhere", "into_diagonal"), "arrow"),
+    "cokernel-morphism": (("cokernel", "arrow", "nowhere"), "arrow"),
+    "image-morphism": (("image", "arrow", "nowhere"), "arrow"),
+    "subobjects-context": (("subobjects", "nowhere", "identity_map"), "arrow"),
+    "subobjects-object": (("subobjects", "arrow", "nowhere"), "arrow"),
+    "kclass-object": (("kclass", "nowhere"), "arrow"),
+    "jh-object": (("jh", "nowhere"), "arrow"),
+    "hn-stability-table": (("hn", "nowhere", "zero_map"), "arrow"),
+    "scan-alpha-system": (("scan-alpha", "nowhere", "toy_curve", "1/2:4"),
+                          "coherent_systems"),
+    "scan-alpha-geometry": (("scan-alpha", "system", "nowhere", "1/2:4"),
+                            "coherent_systems"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAMES))
+def test_exit_3_on_each_unknown_name(tmp_path, case):
+    """A name the workspace lacks: exit 3, one stderr line naming it, and
+    no report."""
+    args, workspace = UNKNOWN_NAMES[case]
+    out = tmp_path / "r.json"
+    proc = run_cli(*args, "--spec", bundled(workspace), "--out", str(out),
+                   check_code=3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("spec error: unknown "), proc.stderr
+    assert lines[0].endswith("'nowhere'"), proc.stderr
+    assert not out.exists() and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", [("kclass", "zero_map"), ("jh", "zero_map")])
+def test_exit_3_on_a_context_named_like_a_category(tmp_path, command):
+    """An object's home name must say whether it lives in a category or a
+    context; a workspace that gives both one name is refused at load."""
+    with open(bundled("arrow")) as fh:
+        doc = json.load(fh)
+    doc["categories"]["arrow"] = {"kind": "finvect"}
+    spec = tmp_path / "clash.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli(*command, "--spec", str(spec), check_code=3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
+
+
+# subcommand -> (its positional arguments, its help line)
+HELP = {
+    "validate": ((), "run the axiom suites"),
+    "kernel": (("context", "morphism"), "compute a kernel with certificates"),
+    "cokernel": (("context", "morphism"),
+                 "compute a cokernel with certificates"),
+    "image": (("context", "morphism"), "compute an image with certificates"),
+    "subobjects": (("context", "object"), "enumerate every subobject"),
+    "kclass": (("object",), "class vector and its split parts"),
+    "hn": (("stability", "object"), "slope filtration with certificates"),
+    "jh": (("object",), "composition series"),
+    "scan-alpha": (("system", "geometry", "range"),
+                   "wall finding over a weight range"),
+    "counterexample": ((), "reproduce the non-additive-leg example"),
+    "selftest": ((), "full acceptance suite"),
+}
+
+
+def _help(capsys, *argv):
+    from commacat import cli
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_subcommand_with_its_line(capsys):
+    text = _help(capsys)
+    for name, (_, line) in HELP.items():
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(line)}$", text,
+                         re.MULTILINE), (name, text)
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_each_subcommand_help_keeps_its_arguments(capsys, command):
+    text = " ".join(_help(capsys, command).split())
+    positionals, _ = HELP[command]
+    assert f"[--budget BUDGET] {' '.join(positionals)}".strip() in text, text
+    for option, line in (("--spec SPEC", "workspace file (default: the "
+                          "bundled arrow workspace)"),
+                         ("--out OUT", "report path (default: stdout)"),
+                         ("--seed SEED", ""),
+                         ("--budget BUDGET", "max enumerable vectors per sweep")):
+        assert f"{option} {line}".strip() in text, (option, text)
+    if command == "scan-alpha":
+        assert "range rational interval lo:hi, e.g. 1/2:4" in text, text
 
 
 def test_exit_2_on_exhausted_budget():

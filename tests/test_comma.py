@@ -49,6 +49,17 @@ IDENTITY_MAP = triple(1, 1, [[1]])
 ZERO_MAP = triple(1, 1, [[0]])
 
 
+def test_is_object_takes_exactly_the_triples_of_the_construction():
+    from commacat.cocomma import CoCommaObject
+    assert ARROW.is_object(IDENTITY_MAP) and ARROW.is_object(ZERO_MAP)
+    assert not any(map(ARROW.is_object, (
+        1, CoCommaObject(1, 1, IDENTITY_MAP.alpha),
+        dataclasses.replace(IDENTITY_MAP, a=-1),
+        dataclasses.replace(IDENTITY_MAP, alpha=vmor(1, 2, [[1], [0]])))))
+    with pytest.raises(ValueError):
+        ARROW.obj(-1, 0, Mor(-1, 0, Matrix.zero(0, 0, 2)))
+
+
 def test_rejects_contravariant_legs():
     with pytest.raises(ValueError):
         CommaCategory(identity_functor(VECT), hom_into(VECT, 1, VECT))

@@ -238,6 +238,38 @@ def test_functor_spec_refuses_a_broken_kind_rule(case):
         BROKEN_SPECS[case]()
 
 
+# object parameters that are not objects of the category the kind names
+FOREIGN_OBJECTS = {
+    "constant-negative-dim": lambda: constant(VECT, VECT, -1),
+    "constant-a-bool": lambda: constant(VECT, VECT, True),
+    "constant-a-rep-object-into-finvect": lambda: constant(REP, VECT, P0),
+    "hom-from-a-float": lambda: hom_from(VECT, 1.5, VECT),
+    "hom-into-an-int-on-rep": lambda: hom_into(REP, 3, VECT),
+    "hom-from-a-short-dimension-vector": lambda: dataclasses.replace(
+        hom_from(REP, P0, VECT), params=(Rep(ARROW_QUIVER, 3).projective(0),)),
+    "hom-into-the-wrong-field": lambda: hom_into(
+        REP, Rep(ARROW_QUIVER, 3).projective(0), VECT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_OBJECTS))
+def test_functor_spec_refuses_an_object_of_another_category(case):
+    with pytest.raises(ValueError, match="must be an object of the"):
+        FOREIGN_OBJECTS[case]()
+
+
+def test_an_object_parameter_keeps_its_fields_and_hash():
+    """The object check only refuses: a valid spec holds the object it
+    was given, and the spec built field by field equals it and hashes
+    alike."""
+    for f, obj in ((hom_from(REP, P0, VECT), P0), (hom_into(VECT, 2, VECT), 2),
+                   (constant(REP, VECT, 0), 0), (constant(VECT, REP, S1), S1)):
+        assert f.params == (obj,)
+        same = FunctorSpec(f.kind, f.source, f.target, (obj,), f.left_exact,
+                           f.right_exact)
+        assert same == f and hash(same) == hash(f)
+
+
 def _kron_identity(w, m):
     """kron(I_w, m), entry by entry."""
     rows, cols = w * m.rows, w * m.cols

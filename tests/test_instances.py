@@ -2,6 +2,7 @@
 hand-solved commuting-square systems, subobject sweeps, and the toy
 geometry validity rules."""
 
+import dataclasses
 import itertools
 import random
 
@@ -73,6 +74,23 @@ def test_rep_obj_validates_shapes():
         REP.obj((1, 1), [Matrix.zero(2, 1, 2)])
     with pytest.raises(ValueError):
         REP.obj((1,), [Matrix.zero(1, 1, 2)])
+
+
+def test_is_object_takes_exactly_the_objects_of_an_instance():
+    rep3 = Rep(ARROW_QUIVER, 3)
+    assert all(map(VECT.is_object, (0, 1, 5)))
+    assert not any(map(VECT.is_object, (-1, True, 1.5, "1", P0)))
+    assert all(map(REP.is_object, (REP.zero_object(), S0, S1, P0)))
+    assert not any(map(REP.is_object, (
+        2, rep3.projective(0), Rep(Quiver(3, ((0, 1),)), 2).simples()[0],
+        dataclasses.replace(P0, dims=(1, -1)),
+        dataclasses.replace(P0, dims=(1.0, 1)),
+        dataclasses.replace(P0, maps=(Matrix.zero(2, 1, 2),)))))
+
+
+def test_rep_obj_refuses_a_float_dimension():
+    with pytest.raises(ValueError):
+        REP.obj((1.5, 1), [Matrix.identity(1, 2)])
 
 
 def test_projective_at_source():

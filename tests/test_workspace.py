@@ -285,6 +285,74 @@ def test_context_object_with_unknown_context(tmp_path):
         load_mutated(tmp_path, mutate)
 
 
+# each dangling reference a workspace can hold: the bundled workspace it
+# is made in, the path of the field set to "nowhere", and the entry the
+# error names
+DANGLING = {
+    "functor-category": ("arrow", ("functors", "left_embed", "category"),
+                         "functors.left_embed"),
+    "functor-target": ("arrow", ("functors", "left_embed", "target"),
+                       "functors.left_embed"),
+    "functor-object": ("coherent_systems",
+                       ("functors", "global_sections", "object"),
+                       "functors.global_sections"),
+    "context-left": ("arrow", ("contexts", "arrow", "left"), "contexts.arrow"),
+    "context-right": ("arrow", ("contexts", "arrow", "right"),
+                      "contexts.arrow"),
+    "object-category": ("arrow", ("objects", "line", "category"),
+                        "objects.line"),
+    "object-context": ("arrow", ("objects", "zero_map", "context"),
+                       "objects.zero_map"),
+    "object-a": ("arrow", ("objects", "zero_map", "a"), "objects.zero_map"),
+    "object-b": ("arrow", ("objects", "zero_map", "b"), "objects.zero_map"),
+    "morphism-context": ("arrow", ("morphisms", "into_diagonal", "context"),
+                         "morphisms.into_diagonal"),
+    "morphism-source": ("arrow", ("morphisms", "into_diagonal", "source"),
+                        "morphisms.into_diagonal"),
+    "morphism-target": ("arrow", ("morphisms", "into_diagonal", "target"),
+                        "morphisms.into_diagonal"),
+    "scan-context": ("coherent_systems", ("scans", "default", "context"),
+                     "scans.default"),
+    "scan-object": ("coherent_systems", ("scans", "default", "object"),
+                    "scans.default"),
+    "scan-geometry": ("coherent_systems", ("scans", "default", "geometry"),
+                      "scans.default"),
+    "category-kind": ("arrow", ("categories", "vect", "kind"),
+                      "categories.vect"),
+    "context-kind": ("arrow", ("contexts", "arrow", "kind"), "contexts.arrow"),
+    "stability-kind": ("arrow", ("stability", "Z", "kind"), "stability.Z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DANGLING))
+def test_a_dangling_reference_names_its_entry_and_the_missing_name(tmp_path,
+                                                                   case):
+    name, (*path, key), where = DANGLING[case]
+    with open(bundled_workspace_path(name)) as fh:
+        doc = json.load(fh)
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = "nowhere"
+    out = tmp_path / "ws.json"
+    out.write_text(json.dumps(doc))
+    with pytest.raises(SpecError) as err:
+        load_workspace(str(out))
+    message = str(err.value)
+    assert message.startswith(f"{where}: unknown "), message
+    assert message.endswith("'nowhere'"), message
+
+
+def test_a_context_does_not_share_a_category_name(tmp_path):
+    """A context named like a category would make an object's home name
+    ambiguous; the loader refuses it."""
+    def mutate(d):
+        d["categories"]["arrow"] = {"kind": "finvect"}
+    with pytest.raises(SpecError) as err:
+        load_mutated(tmp_path, mutate)
+    assert str(err.value).startswith("contexts.arrow: ")
+
+
 def test_stability_table_rejects_bad_coefficients(tmp_path):
     def mutate(d):
         d["stability"]["Z"]["coefficients"] = [["1", "0"], ["0", "1"]]
