@@ -48,10 +48,9 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
 
     policy "canonical" takes, at each stage, the first strictly larger
     subobject of minimal positive length jump; "random" draws uniformly
-    among those, seeded.  Each factor cur / prev is simple: in an
-    abelian_capable context a t with prev < t < cur is in
-    strictly_above(prev) with a smaller jump, as cur / t is nonzero; other
-    contexts check the factor on its own lattice.
+    among those, seeded.  A minimal jump is exactly a simple factor:
+    SubobjectLattice.chain says why, and checks it where the context is
+    not abelian_capable.
     """
     if cat.is_zero_object(x):
         return JHFiltration((), ())
@@ -59,21 +58,17 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
         raise ValueError("policy must be 'canonical' or 'random'")
     rng = random.Random(seed)
     lat = lattice_for(cat, x, lattice)
-    chain = [lat.zero_index]
-    while chain[-1] != lat.whole_index:
-        cur = chain[-1]
-        above = lat.strictly_above(cur)
-        # a minimal jump in total length is exactly a simple factor
-        best_jump = min(sum(lat.diff(t, cur)) for t in above)
-        options = [t for t in above if sum(lat.diff(t, cur)) == best_jump]
-        pick = options[0] if policy == "canonical" else rng.choice(options)
-        chain.append(pick)
-    pairs = list(zip(chain, chain[1:]))
-    if not cat.abelian_capable and any(
-            lat.factor_proper_classes(prev, cur) for prev, cur in pairs):
-        raise CertificateFailure("composition factor is not simple")
-    return JHFiltration(tuple(lat.subs[i] for i in chain),
-                        tuple(lat.diff(cur, prev) for prev, cur in pairs))
+
+    def minimal_jump(cur, above):
+        jumps = [sum(lat.diff(t, cur)) for t in above]
+        least = min(jumps)
+        options = [t for t, n in zip(above, jumps) if n == least]
+        return options[0] if policy == "canonical" else rng.choice(options)
+
+    steps, factor_classes = lat.chain(
+        minimal_jump, lambda cls, proper: not proper,
+        "composition factor is not simple")
+    return JHFiltration(steps, factor_classes)
 
 
 def length(cat: CategoryInstance, x,

@@ -92,6 +92,10 @@ class StabilityFunction:
     left_rank: Optional[int] = None
 
     def __post_init__(self):
+        k = self.left_rank
+        if k is not None and (type(k) is not int
+                              or not 0 <= k <= len(self.coefficients)):
+            raise ValueError("left_rank must be an integer in 0..rank")
         for c in self.coefficients:
             if c.im < 0:
                 raise ValueError("coefficient with negative imaginary part")
@@ -162,13 +166,14 @@ def restrict_comma_stability(z: StabilityFunction):
 
 
 class SubobjectLattice:
-    """The full subobject poset of one ambient object with keys, classes
-    and the memoized inclusion relation.
+    """The full subobject poset of one ambient object with keys and
+    classes.
 
     The keys are the ones enumeration carried on each subobject, and the
-    order is core.subobject_leq, which compares them.  In an abelian
-    category the subobjects of a factor subs[j] / subs[i] are read from
-    strictly_above(i), which a greedy filtration step has just ranked.
+    order is core.subobject_leq, which compares them; it is asked each
+    time, not remembered.  In an abelian category the subobjects of a
+    factor subs[j] / subs[i] are read from strictly_above(i), which a
+    greedy filtration step has just ranked (see chain).
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -193,15 +198,9 @@ class SubobjectLattice:
                 f"{cat.describe_object(x)} is not among its own subobjects; "
                 "the category is not abelian on this object")
         self.whole_index = self.classes.index(whole)
-        self._leq = {}
 
     def leq(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        if (i, j) not in self._leq:
-            self._leq[(i, j)] = subobject_leq(self.cat, self.subs[i],
-                                              self.subs[j])
-        return self._leq[(i, j)]
+        return i == j or subobject_leq(self.cat, self.subs[i], self.subs[j])
 
     def strictly_above(self, i: int) -> list:
         """Every j with subs[i] strictly inside subs[j], in index order.
@@ -215,6 +214,32 @@ class SubobjectLattice:
                 if c != below and all(p >= q for p, q in zip(c, below))
                 and self.leq(i, j)]
 
+    def chain(self, step, factor_ok, refusal: str):
+        """The chain from the zero subobject to x, as (steps, factor
+        classes), that HN and JH filtrations both walk.
+
+        step(i, above) picks the next index from above = strictly_above(i),
+        which is never empty.  Every factor subs[j] / subs[i] must pass
+        factor_ok(its class, its proper classes).  In an abelian_capable
+        context its subobjects are t / subs[i] for t in strictly_above(i),
+        which step has just ranked, so step decides that itself; other
+        contexts check it on the factor's own lattice and raise
+        CertificateFailure(refusal) when it fails.
+        """
+        chain = [self.zero_index]
+        while chain[-1] != self.whole_index:
+            above = self.strictly_above(chain[-1])
+            if not above:
+                raise CertificateFailure("no strictly larger subobject found")
+            chain.append(step(chain[-1], above))
+        pairs = list(zip(chain, chain[1:]))
+        classes = tuple(self.diff(j, i) for i, j in pairs)
+        if not self.cat.abelian_capable and not all(
+                factor_ok(c, self.factor_proper_classes(i, j))
+                for (i, j), c in zip(pairs, classes)):
+            raise CertificateFailure(refusal)
+        return tuple(self.subs[i] for i in chain), classes
+
     def proper_classes(self) -> list:
         """The classes of the subobjects other than 0 and x."""
         return [c for i, c in enumerate(self.classes)
@@ -226,7 +251,7 @@ class SubobjectLattice:
     def factor_proper_classes(self, i: int, j: int) -> list:
         """The proper classes of the factor subs[j] / subs[i], i < j, from
         its own lattice, built by cokernel (factor_object).  Only a context
-        that is not abelian_capable needs them (see hn_filtration); there
+        that is not abelian_capable needs them (see chain); there
         the interval [i, j] may list classes for a factor without a unique
         cokernel, which raises here instead."""
         return SubobjectLattice(self.cat,
@@ -245,12 +270,18 @@ class SubobjectLattice:
 # -- semistability and filtrations ---------------------------------------
 
 
+def _semistable_on(z: StabilityFunction, cls, proper) -> bool:
+    """Whether an object of class cls, whose proper subobjects have the
+    classes proper, is semistable."""
+    mu = slope(z, cls)
+    return all(slope(z, c) <= mu for c in proper)
+
+
 def is_semistable(cat: CategoryInstance, z: StabilityFunction, x) -> bool:
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no slope")
-    mu = slope(z, cat.class_vector(x))
-    return all(slope(z, c) <= mu
-               for c in SubobjectLattice(cat, x).proper_classes())
+    return _semistable_on(z, cat.class_vector(x),
+                          SubobjectLattice(cat, x).proper_classes())
 
 
 def is_stable(cat: CategoryInstance, z: StabilityFunction, x) -> bool:
@@ -292,45 +323,36 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
     Each step adjoins the strictly larger subobject maximizing first the
     slope of the new factor, then the factor's total class size.  That
     maximizer is unique by standard slope theory; uniqueness is checked,
-    as are strictly decreasing slopes.  Each factor cur / prev is
-    semistable: in an abelian_capable context its subobjects are t / prev
-    for t in strictly_above(prev), over which cur maximized the slope;
-    other contexts check it on the factor's own lattice.
+    as are strictly decreasing slopes.  Each factor is semistable:
+    SubobjectLattice.chain says why, and checks it where the context is
+    not abelian_capable.
     """
     if cat.is_zero_object(x):
         raise ValueError("the zero object has no filtration")
     lat = lattice_for(cat, x, lattice)
-    chain = [lat.zero_index]
-    while chain[-1] != lat.whole_index:
-        cur = chain[-1]
-        best = None
-        best_score = None
-        ties = 0
-        for t in lat.strictly_above(cur):
+
+    def steepest(cur, above):
+        best = best_score = None
+        for t in above:
             diff = lat.diff(t, cur)
             score = (slope(z, diff), sum(diff))
             if best_score is None or score > best_score:
                 best, best_score, ties = t, score, 1
             elif score == best_score:
                 ties += 1
-        if best is None:
-            raise CertificateFailure("no strictly larger subobject found")
         if ties != 1:
             raise CertificateFailure(
                 "maximal destabilizing subobject is not unique; "
                 "the greedy invariant is broken")
-        chain.append(best)
-    pairs = list(zip(chain, chain[1:]))
-    factor_classes = tuple(lat.diff(cur, prev) for prev, cur in pairs)
+        return best
+
+    steps, factor_classes = lat.chain(steepest,
+                                      functools.partial(_semistable_on, z),
+                                      "greedy factor is not semistable")
     factor_slopes = tuple(slope(z, c) for c in factor_classes)
-    if not cat.abelian_capable and any(
-            slope(z, c) > mu for (prev, cur), mu in zip(pairs, factor_slopes)
-            for c in lat.factor_proper_classes(prev, cur)):
-        raise CertificateFailure("greedy factor is not semistable")
     if any(not s2 < s1 for s1, s2 in zip(factor_slopes, factor_slopes[1:])):
         raise CertificateFailure("factor slopes are not strictly decreasing")
-    return HNFiltration(tuple(lat.subs[i] for i in chain),
-                        factor_slopes, factor_classes)
+    return HNFiltration(steps, factor_slopes, factor_classes)
 
 
 def hn_type(cat: CategoryInstance, z: StabilityFunction, x,
@@ -466,15 +488,19 @@ class AlphaScanReport:
         return tuple(c.alpha for c in self.certificates if c.is_wall)
 
 
-def _half_min_gap(candidates, lo, hi) -> Fraction:
-    gaps = [hi - lo]
-    pts = sorted(candidates)
-    for p, q in zip(pts, pts[1:]):
-        gaps.append(q - p)
-    if pts:
-        gaps.append(pts[0] - lo)
-        gaps.append(hi - pts[-1])
-    return min(g for g in gaps if g > 0) / 2
+def _scan_setup(cat, x, geometry, lo, hi):
+    """What both scans start from: the range as Fractions, checked to
+    satisfy 0 < lo < hi, the lattice of x, the wall candidates in (lo, hi)
+    and half the minimum gap between lo, the candidates and hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo <= 0 or hi <= lo:
+        raise ValueError("scan range must satisfy 0 < lo < hi")
+    lat = SubobjectLattice(cat, x)
+    candidates = wall_candidates(lat, geometry, lo, hi)
+    # the candidates are sorted and lie strictly inside (lo, hi)
+    pts = (lo, *candidates, hi)
+    half_gap = min(q - p for p, q in zip(pts, pts[1:])) / 2
+    return lo, hi, lat, candidates, half_gap
 
 
 def alpha_scan(cat, x, geometry, lo, hi) -> AlphaScanReport:
@@ -485,21 +511,14 @@ def alpha_scan(cat, x, geometry, lo, hi) -> AlphaScanReport:
     certified by recomputing the filtration just below, at, and just above
     it, with the probe offset set to half the minimum candidate gap.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= 0 or hi <= lo:
-        raise ValueError("scan range must satisfy 0 < lo < hi")
-    lat = SubobjectLattice(cat, x)
-    candidates = wall_candidates(lat, geometry, lo, hi)
-    certs = []
-    if candidates:
-        eps = _half_min_gap(candidates, lo, hi)
-        for w in candidates:
-            certs.append(WallCertificate(
-                w,
-                hn_type(cat, stability_from_geometry(geometry, w - eps), x, lat),
-                hn_type(cat, stability_from_geometry(geometry, w), x, lat),
-                hn_type(cat, stability_from_geometry(geometry, w + eps), x, lat)))
-    return AlphaScanReport(lo, hi, candidates, tuple(certs))
+    lo, hi, lat, candidates, eps = _scan_setup(cat, x, geometry, lo, hi)
+    certs = tuple(WallCertificate(
+        w,
+        hn_type(cat, stability_from_geometry(geometry, w - eps), x, lat),
+        hn_type(cat, stability_from_geometry(geometry, w), x, lat),
+        hn_type(cat, stability_from_geometry(geometry, w + eps), x, lat))
+        for w in candidates)
+    return AlphaScanReport(lo, hi, candidates, certs)
 
 
 def alpha_grid_probe(cat, x, geometry, lo, hi) -> tuple:
@@ -507,10 +526,8 @@ def alpha_grid_probe(cat, x, geometry, lo, hi) -> tuple:
     minimum candidate gap and report one enclosed candidate for every
     observed type change.  Grid points that land exactly on a candidate
     are nudged upward slightly so every change stays bracketed."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    lat = SubobjectLattice(cat, x)
-    candidates = set(wall_candidates(lat, geometry, lo, hi))
-    step = _half_min_gap(sorted(candidates), lo, hi)
+    lo, hi, lat, candidates, step = _scan_setup(cat, x, geometry, lo, hi)
+    candidates = set(candidates)
     if (hi - lo) / step > GRID_MAX_POINTS:
         raise BudgetExceeded("grid for the scan oracle is too fine")
     points = []

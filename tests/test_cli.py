@@ -440,6 +440,19 @@ def test_exit_3_on_malformed_workspace(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
 
 
+def test_exit_3_on_a_left_rank_above_the_rank(tmp_path):
+    """The left rank of a two-coefficient table may be at most 2."""
+    with open(bundled("arrow")) as fh:
+        doc = json.load(fh)
+    doc["stability"]["Z"]["left_rank"] = 3
+    spec = tmp_path / "left_rank.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli("hn", "Z", "zero_map", "--spec", str(spec), check_code=3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
+    assert "left_rank" in lines[0]
+
+
 # a range is parsed with the workspace's rational grammar, so decimal
 # spellings are refused like out-of-order ends
 @pytest.mark.parametrize("scan_range", ["0:4", "4:1", "1/2:1/2", "0.5:4",

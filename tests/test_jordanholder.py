@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from commacat.comma import CommaCategory
 from commacat.core import Mor
+from commacat.errors import CertificateFailure
 from commacat.functors import identity_functor
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.jordanholder import (
@@ -56,6 +57,36 @@ def test_jh_zero_object_is_empty():
 def test_jh_identity_triple_factors():
     jh = jh_filtration(ARROW, triple(1, 1, [[1]]))
     assert jh.factor_multiset() == ((0, 1), (1, 0))
+
+
+def test_canonical_chain_fills_the_right_side_first():
+    """Every nonzero identity-identity arrow object a -> b up to total
+    dimension 4 over F_2 and 3 over F_3 (77 objects): the canonical series
+    runs through the classes (0, 0) ... (0, dim b), (1, dim b) ...
+    (dim a, dim b)."""
+    seen = 0
+    for p, max_dim in ((2, 4), (3, 3)):
+        vect = FinVect(p)
+        cat = CommaCategory(identity_functor(vect), identity_functor(vect))
+        for x in cat.enumerate_objects(max_dim):
+            if cat.is_zero_object(x):
+                continue
+            seen += 1
+            a, b = cat.class_vector(x)
+            expected = [(0, j) for j in range(b + 1)] + \
+                [(i, b) for i in range(1, a + 1)]
+            steps = jh_filtration(cat, x).steps
+            assert [cat.class_vector(s.obj) for s in steps] == expected
+    assert seen == 77
+
+
+def test_jh_refuses_a_stage_with_nothing_above_it():
+    lat = SubobjectLattice(VECT, 2)
+    lat.strictly_above = lambda i: []
+    for policy in ("canonical", "random"):
+        with pytest.raises(CertificateFailure,
+                           match="no strictly larger subobject found"):
+            jh_filtration(VECT, 2, policy, lattice=lat)
 
 
 def test_policy_validation():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from commacat.comma import CommaCategory
 from commacat.core import Mor, subobject_ses
+from commacat.errors import CertificateFailure
 from commacat.functors import hom_from, identity_functor
 from commacat.instances import ARROW_QUIVER, FinVect, Rep, ToyGeometryConfig
 from commacat.jordanholder import jh_filtration
@@ -163,6 +164,22 @@ def test_weighted_sum_and_restriction_round_trip():
         restrict_comma_stability(StabilityFunction(za.coefficients))
 
 
+@pytest.mark.parametrize("coeffs,left_rank", [
+    (2, 5), (1, -3), (2, True), (2, 1.0), (0, 1)])
+def test_left_rank_outside_0_to_rank_is_refused(coeffs, left_rank):
+    with pytest.raises(ValueError, match="left_rank"):
+        StabilityFunction((GaussianRational(-1, 0),) * coeffs,
+                          left_rank=left_rank)
+
+
+def test_left_rank_at_either_end_splits():
+    c = (GaussianRational(-1, 0), GaussianRational(0, 1))
+    for k in (0, 2):
+        ra, rb = restrict_comma_stability(StabilityFunction(c, left_rank=k))
+        assert ra.coefficients + rb.coefficients == c
+        assert ra.rank == k
+
+
 def test_weighted_sum_scales_components():
     za = StabilityFunction((GaussianRational(-1, 0),))
     zb = StabilityFunction((GaussianRational(0, 1),))
@@ -233,6 +250,14 @@ def test_greedy_matches_the_brute_force_search(seed):
     if ARROW.is_zero_object(x):
         return
     assert hn_type(ARROW, Z, x) == exhaustive_hn_search(ARROW, Z, x)
+
+
+def test_hn_refuses_a_stage_with_nothing_above_it():
+    lat = SubobjectLattice(ARROW, ZERO_MAP)
+    lat.strictly_above = lambda i: []
+    with pytest.raises(CertificateFailure,
+                       match="no strictly larger subobject found"):
+        hn_filtration(ARROW, Z, ZERO_MAP, lattice=lat)
 
 
 def test_hn_rejects_the_zero_object():
@@ -306,6 +331,9 @@ def test_scan_range_validation():
         alpha_scan(cat, system, geometry, 2, 1)
     with pytest.raises(ValueError):
         alpha_scan(cat, system, geometry, 0, 1)
+    for lo, hi in ((2, 1), (1, 1), (0, 1)):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            alpha_grid_probe(cat, system, geometry, lo, hi)
 
 
 def test_wall_candidates_frozen():
