@@ -17,9 +17,10 @@ declares here (hom-into functors always qualify).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
-from .comma import CommaCategory, CommaObject, glued_hom_basis, glued_subobjects
+from .comma import (SUBOBJECT_TABLES, CommaCategory, CommaObject,
+                    glued_hom_basis, glued_subobjects)
 from .functors import FunctorSpec
 
 
@@ -64,6 +65,6 @@ def _cocomma_hom_basis(cat: CoCommaCategory, x: CoCommaObject,
     return glued_hom_basis(cat, x, y)
 
 
-@cache
+@lru_cache(maxsize=SUBOBJECT_TABLES)
 def _cocomma_subobjects(cat: CoCommaCategory, x: CoCommaObject) -> tuple:
     return glued_subobjects(cat, x)

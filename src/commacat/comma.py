@@ -633,7 +633,14 @@ def _comma_hom_basis(cat: CommaCategory, x: CommaObject, y: CommaObject) -> tupl
     return glued_hom_basis(cat, x, y)
 
 
-@cache
+# The selftest battery asks for 102 distinct subobject tables and comes
+# back to them 1,314 times, while a sweep over many objects (the lattice
+# benchmark) never comes back to one.  So only the most recent tables are
+# kept, more than the battery reuses.
+SUBOBJECT_TABLES = 128
+
+
+@lru_cache(maxsize=SUBOBJECT_TABLES)
 def _comma_subobjects(cat: CommaCategory, x: CommaObject) -> tuple:
     return glued_subobjects(cat, x)
 

@@ -48,22 +48,25 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
 
     policy "canonical" takes, at each stage, the first strictly larger
     subobject of minimal positive length jump; "random" draws uniformly
-    among those, seeded.  A minimal jump is exactly a simple factor:
-    SubobjectLattice.chain says why, and checks it where the context is
-    not abelian_capable.
+    among those, seeded.  Both read them from SubobjectLattice.least_above,
+    which scans only the least length with a member above the stage.  A
+    minimal jump is exactly a simple factor: SubobjectLattice.chain says
+    why, and checks it where the context is not abelian_capable.
     """
-    if cat.is_zero_object(x):
-        return JHFiltration((), ())
     if policy not in ("canonical", "random"):
         raise ValueError("policy must be 'canonical' or 'random'")
+    if cat.is_zero_object(x):
+        if lattice is not None:
+            lattice_for(cat, x, lattice)
+        return JHFiltration((), ())
     rng = random.Random(seed)
     lat = lattice_for(cat, x, lattice)
 
-    def minimal_jump(cur, above):
-        jumps = [sum(lat.diff(t, cur)) for t in above]
-        least = min(jumps)
-        options = [t for t, n in zip(above, jumps) if n == least]
-        return options[0] if policy == "canonical" else rng.choice(options)
+    def minimal_jump(cur):
+        if policy == "canonical":
+            return next(lat.least_above(cur), None)
+        options = list(lat.least_above(cur))
+        return rng.choice(options) if options else None
 
     steps, factor_classes = lat.chain(
         minimal_jump, lambda cls, proper: not proper,

@@ -171,9 +171,10 @@ class SubobjectLattice:
 
     The keys are the ones enumeration carried on each subobject, and the
     order is core.subobject_leq, which compares them; it is asked each
-    time, not remembered.  In an abelian category the subobjects of a
-    factor subs[j] / subs[i] are read from strictly_above(i), which a
-    greedy filtration step has just ranked (see chain).
+    time, not remembered.  least_above reads only the lengths it needs,
+    from levels.  In an abelian category the subobjects of a factor
+    subs[j] / subs[i] are read from what a greedy filtration step has just
+    ranked (see chain).
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -199,6 +200,15 @@ class SubobjectLattice:
                 "the category is not abelian on this object")
         self.whole_index = self.classes.index(whole)
 
+    @functools.cached_property
+    def levels(self) -> dict:
+        """Each total length, in increasing order, to its indices in index
+        order; built on the first least_above, which only JH asks."""
+        levels = {}
+        for i, c in enumerate(self.classes):
+            levels.setdefault(sum(c), []).append(i)
+        return dict(sorted(levels.items()))
+
     def leq(self, i: int, j: int) -> bool:
         return i == j or subobject_leq(self.cat, self.subs[i], self.subs[j])
 
@@ -214,24 +224,50 @@ class SubobjectLattice:
                 if c != below and all(p >= q for p, q in zip(c, below))
                 and self.leq(i, j)]
 
+    def least_above(self, i: int):
+        """The j with subs[i] strictly inside subs[j] of least total
+        length, in index order.
+
+        The lengths above that of i are read in increasing order, and
+        only j whose class dominates classes[i] are asked; the walk stops
+        after the first length with a member above i.  These are the
+        least-length members of strictly_above(i), in its order.
+        """
+        below = self.classes[i]
+        n = sum(below)
+        for length, level in self.levels.items():
+            if length <= n:
+                continue
+            found = False
+            for j in level:
+                if all(p >= q for p, q in zip(self.classes[j], below)) \
+                        and self.leq(i, j):
+                    found = True
+                    yield j
+            if found:
+                return
+
     def chain(self, step, factor_ok, refusal: str):
         """The chain from the zero subobject to x, as (steps, factor
         classes), that HN and JH filtrations both walk.
 
-        step(i, above) picks the next index from above = strictly_above(i),
-        which is never empty.  Every factor subs[j] / subs[i] must pass
-        factor_ok(its class, its proper classes).  In an abelian_capable
-        context its subobjects are t / subs[i] for t in strictly_above(i),
-        which step has just ranked, so step decides that itself; other
-        contexts check it on the factor's own lattice and raise
-        CertificateFailure(refusal) when it fails.
+        step(i) returns the next index above i, or None when it finds
+        none, which raises.  Every factor subs[j] / subs[i] must
+        pass factor_ok(its class, its proper classes).  In an
+        abelian_capable context its subobjects are t / subs[i] for the t
+        with subs[i] <= t <= subs[j], and step has just ranked them: HN's
+        step ranks all of strictly_above(i), and JH's takes j of least
+        length, so any other such t would be shorter still.  So step
+        decides the factor check itself; other contexts check it on the
+        factor's own lattice and raise CertificateFailure(refusal) when
+        it fails.
         """
         chain = [self.zero_index]
         while chain[-1] != self.whole_index:
-            above = self.strictly_above(chain[-1])
-            if not above:
+            nxt = step(chain[-1])
+            if nxt is None:
                 raise CertificateFailure("no strictly larger subobject found")
-            chain.append(step(chain[-1], above))
+            chain.append(nxt)
         pairs = list(zip(chain, chain[1:]))
         classes = tuple(self.diff(j, i) for i, j in pairs)
         if not self.cat.abelian_capable and not all(
@@ -331,16 +367,16 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
         raise ValueError("the zero object has no filtration")
     lat = lattice_for(cat, x, lattice)
 
-    def steepest(cur, above):
+    def steepest(cur):
         best = best_score = None
-        for t in above:
+        for t in lat.strictly_above(cur):
             diff = lat.diff(t, cur)
             score = (slope(z, diff), sum(diff))
             if best_score is None or score > best_score:
                 best, best_score, ties = t, score, 1
             elif score == best_score:
                 ties += 1
-        if ties != 1:
+        if best is not None and ties != 1:
             raise CertificateFailure(
                 "maximal destabilizing subobject is not unique; "
                 "the greedy invariant is broken")

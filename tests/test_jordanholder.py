@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commacat.cocomma import CoCommaCategory
 from commacat.comma import CommaCategory
 from commacat.core import Mor
 from commacat.errors import CertificateFailure
-from commacat.functors import identity_functor
+from commacat.functors import hom_into, identity_functor
 from commacat.instances import ARROW_QUIVER, FinVect, Rep
 from commacat.jordanholder import (
     comma_simples,
@@ -82,7 +83,7 @@ def test_canonical_chain_fills_the_right_side_first():
 
 def test_jh_refuses_a_stage_with_nothing_above_it():
     lat = SubobjectLattice(VECT, 2)
-    lat.strictly_above = lambda i: []
+    lat.least_above = lambda i: iter(())
     for policy in ("canonical", "random"):
         with pytest.raises(CertificateFailure,
                            match="no strictly larger subobject found"):
@@ -90,14 +91,66 @@ def test_jh_refuses_a_stage_with_nothing_above_it():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        jh_filtration(VECT, 2, policy="sorted")
+    """The zero object too, though its series is empty."""
+    for cat, x in ((VECT, 2), (ARROW, ARROW.zero_object())):
+        with pytest.raises(ValueError):
+            jh_filtration(cat, x, policy="sorted")
 
 
 def test_lattice_guard_rejects_foreign_lattices():
     lat = SubobjectLattice(VECT, 2)
-    with pytest.raises(ValueError):
-        jh_filtration(VECT, 3, lattice=lat)
+    for x in (3, 0):
+        with pytest.raises(ValueError):
+            jh_filtration(VECT, x, lattice=lat)
+
+
+def _reference_step_keys(lat, policy, seed):
+    """The JH walk over the whole up-set, the oracle for least_above: rank
+    all of strictly_above(i) by length jump, then take the first of the
+    least jumps, or a seeded draw among them."""
+    rng = random.Random(seed)
+    chain = [lat.zero_index]
+    while chain[-1] != lat.whole_index:
+        cur = chain[-1]
+        above = lat.strictly_above(cur)
+        jumps = [sum(lat.diff(t, cur)) for t in above]
+        least = min(jumps)
+        options = [t for t, n in zip(above, jumps) if n == least]
+        chain.append(options[0] if policy == "canonical"
+                     else rng.choice(options))
+    return [lat.keys[i] for i in chain]
+
+
+def _oracle_contexts():
+    """The identity-identity arrow context and the framed co-comma context,
+    each with its largest total dimension: 4 over F_2 and 3 over F_3."""
+    for p, max_dim in ((2, 4), (3, 3)):
+        vect = FinVect(p)
+        rep = Rep(ARROW_QUIVER, p)
+        framing = rep.obj((1, 1), [Matrix.build(1, 1, p, (1,))])
+        yield CommaCategory(identity_functor(vect),
+                            identity_functor(vect)), max_dim
+        yield CoCommaCategory(identity_functor(vect),
+                              hom_into(rep, framing, vect)), max_dim
+
+
+def test_jh_steps_match_the_walk_over_the_whole_up_set():
+    """jh_filtration reads each step from least_above; on each of the 278
+    nonzero objects of those contexts, its steps are the reference walk's,
+    key for key, under the canonical policy and three random seeds."""
+    seen = 0
+    for cat, max_dim in _oracle_contexts():
+        for x in cat.enumerate_objects(max_dim):
+            if cat.is_zero_object(x):
+                continue
+            seen += 1
+            lat = SubobjectLattice(cat, x)
+            for policy, seed in (("canonical", 0), ("random", 1),
+                                 ("random", 7), ("random", 12)):
+                got = jh_filtration(cat, x, policy, seed, lattice=lat)
+                assert [s.key for s in got.steps] == \
+                    _reference_step_keys(lat, policy, seed)
+    assert seen == 278
 
 
 @settings(deadline=None, max_examples=15)

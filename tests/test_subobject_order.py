@@ -112,6 +112,29 @@ def test_pruned_up_sets_match_the_order(name, p):
     assert objects
 
 
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("name", EXACT + CONFIRMED)
+def test_least_above_is_the_least_length_slice_of_the_up_set(name, p):
+    """least_above reads only the least length with a member above i; it
+    must list exactly the members of strictly_above(i) of least total
+    length, in order, and nothing where strictly_above(i) is empty."""
+    cat = _contexts(p)[name]
+    objects = 0
+    for x in cat.enumerate_objects(3):
+        try:
+            lat = SubobjectLattice(cat, x)
+        except ExactnessViolation:
+            assert name in CONFIRMED
+            continue
+        objects += 1
+        for i in range(len(lat.subs)):
+            above = lat.strictly_above(i)
+            least = min((sum(lat.classes[j]) for j in above), default=None)
+            assert list(lat.least_above(i)) == [
+                j for j in above if sum(lat.classes[j]) == least]
+    assert objects
+
+
 @pytest.mark.parametrize("p", sorted(MAX_DIM))
 @pytest.mark.parametrize("name", EXACT + CONFIRMED)
 def test_lattice_whole_is_the_identity_subobject(name, p):
