@@ -15,6 +15,7 @@ recomputing filtrations on either side.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -171,8 +172,9 @@ class SubobjectLattice:
 
     The keys are the ones enumeration carried on each subobject, and the
     order is core.subobject_leq, which compares them; it is asked each
-    time, not remembered.  least_above reads only the lengths it needs,
-    from levels.  In an abelian category the subobjects of a factor
+    time, not remembered.  The filtration steps read the indices grouped
+    by class, from class_index, and ask the order only inside the groups
+    they need.  In an abelian category the subobjects of a factor
     subs[j] / subs[i] are read from what a greedy filtration step has just
     ranked (see chain).
     """
@@ -201,47 +203,58 @@ class SubobjectLattice:
         self.whole_index = self.classes.index(whole)
 
     @functools.cached_property
-    def levels(self) -> dict:
-        """Each total length, in increasing order, to its indices in index
-        order; built on the first least_above, which only JH asks."""
-        levels = {}
+    def class_index(self) -> dict:
+        """Each total length, in increasing order, to each class of that
+        length, to its indices in index order; built on the first
+        classes_above or least_above, so a lattice that only a stability
+        test reads never builds it."""
+        by_class = {}
         for i, c in enumerate(self.classes):
-            levels.setdefault(sum(c), []).append(i)
-        return dict(sorted(levels.items()))
+            by_class.setdefault(c, []).append(i)
+        index = {}
+        for c, members in by_class.items():
+            index.setdefault(sum(c), {})[c] = members
+        return dict(sorted(index.items()))
+
+    def classes_above(self, i: int) -> list:
+        """The classes that dominate classes[i] componentwise and differ
+        from it, with their indices: the only places a strict inclusion
+        of subs[i] can end, since its cokernel has a nonzero class."""
+        below = self.classes[i]
+        n = sum(below)
+        return [(c, members) for length, classes in self.class_index.items()
+                if length > n for c, members in classes.items()
+                if all(p >= q for p, q in zip(c, below))]
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or subobject_leq(self.cat, self.subs[i], self.subs[j])
 
     def strictly_above(self, i: int) -> list:
-        """Every j with subs[i] strictly inside subs[j], in index order.
-
-        Only j whose class dominates classes[i] componentwise and differs
-        from it are asked: a strict inclusion has a nonzero cokernel, whose
-        class, the difference, is a nonzero dimension vector.
-        """
-        below = self.classes[i]
-        return [j for j, c in enumerate(self.classes)
-                if c != below and all(p >= q for p, q in zip(c, below))
-                and self.leq(i, j)]
+        """Every j with subs[i] strictly inside subs[j], in index order;
+        only the members of classes_above(i) are asked."""
+        return sorted(j for _, members in self.classes_above(i)
+                      for j in members if self.leq(i, j))
 
     def least_above(self, i: int):
         """The j with subs[i] strictly inside subs[j] of least total
         length, in index order.
 
-        The lengths above that of i are read in increasing order, and
-        only j whose class dominates classes[i] are asked; the walk stops
-        after the first length with a member above i.  These are the
-        least-length members of strictly_above(i), in its order.
+        The classes above that of i are read by total length, in
+        increasing order, the indices of one length merged in index
+        order; the walk stops after the first length with a member above
+        i.  These are the least-length members of strictly_above(i), in
+        its order.
         """
         below = self.classes[i]
         n = sum(below)
-        for length, level in self.levels.items():
+        for length, classes in self.class_index.items():
             if length <= n:
                 continue
+            runs = [members for c, members in classes.items()
+                    if all(p >= q for p, q in zip(c, below))]
             found = False
-            for j in level:
-                if all(p >= q for p, q in zip(self.classes[j], below)) \
-                        and self.leq(i, j):
+            for j in sorted(itertools.chain.from_iterable(runs)):
+                if self.leq(i, j):
                     found = True
                     yield j
             if found:
@@ -255,12 +268,15 @@ class SubobjectLattice:
         none, which raises.  Every factor subs[j] / subs[i] must
         pass factor_ok(its class, its proper classes).  In an
         abelian_capable context its subobjects are t / subs[i] for the t
-        with subs[i] <= t <= subs[j], and step has just ranked them: HN's
-        step ranks all of strictly_above(i), and JH's takes j of least
-        length, so any other such t would be shorter still.  So step
-        decides the factor check itself; other contexts check it on the
-        factor's own lattice and raise CertificateFailure(refusal) when
-        it fails.
+        with subs[i] <= t <= subs[j], and each such t other than subs[i]
+        lies in strictly_above(i).  HN's step visits the classes above i
+        from the highest score down and stops at the first with a member
+        above i, so every class scoring above j's has no member above i,
+        and j is the one member above i at its score: any other t scores
+        lower.  JH's takes j of least length, so any other such t would
+        be shorter still.  So step decides the factor check itself; other
+        contexts check it on the factor's own lattice and raise
+        CertificateFailure(refusal) when it fails.
         """
         chain = [self.zero_index]
         while chain[-1] != self.whole_index:
@@ -357,9 +373,14 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
     """Greedy construction through the subobject lattice.
 
     Each step adjoins the strictly larger subobject maximizing first the
-    slope of the new factor, then the factor's total class size.  That
-    maximizer is unique by standard slope theory; uniqueness is checked,
-    as are strictly decreasing slopes.  Each factor is semistable:
+    slope of the new factor, then the factor's total class size: the
+    score.  The score is one per class, so the step scores each class
+    above the current stage once and visits the classes in groups of
+    equal score, highest first, asking the order only for the members of
+    each group.  The first group with a member above the stage holds the
+    maximizer, since every group before it has none.  That maximizer is
+    unique by standard slope theory; uniqueness is checked within the
+    group, as are strictly decreasing slopes.  Each factor is semistable:
     SubobjectLattice.chain says why, and checks it where the context is
     not abelian_capable.
     """
@@ -368,19 +389,22 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
     lat = lattice_for(cat, x, lattice)
 
     def steepest(cur):
-        best = best_score = None
-        for t in lat.strictly_above(cur):
-            diff = lat.diff(t, cur)
-            score = (slope(z, diff), sum(diff))
-            if best_score is None or score > best_score:
-                best, best_score, ties = t, score, 1
-            elif score == best_score:
-                ties += 1
-        if best is not None and ties != 1:
-            raise CertificateFailure(
-                "maximal destabilizing subobject is not unique; "
-                "the greedy invariant is broken")
-        return best
+        below = lat.classes[cur]
+        scored = []
+        for c, members in lat.classes_above(cur):
+            diff = tuple(p - q for p, q in zip(c, below))
+            scored.append(((slope(z, diff), sum(diff)), members))
+        scored.sort(key=operator.itemgetter(0), reverse=True)
+        for _, group in itertools.groupby(scored, operator.itemgetter(0)):
+            hits = [t for _, members in group for t in members
+                    if lat.leq(cur, t)]
+            if len(hits) > 1:
+                raise CertificateFailure(
+                    "maximal destabilizing subobject is not unique; "
+                    "the greedy invariant is broken")
+            if hits:
+                return hits[0]
+        return None
 
     steps, factor_classes = lat.chain(steepest,
                                       functools.partial(_semistable_on, z),

@@ -554,13 +554,15 @@ def test_exit_1_with_report_on_a_failed_certificate(tmp_path, monkeypatch,
     """A filtration check that fails raises CertificateFailure; cli.main
     exits 1 and writes a report carrying it instead of a traceback.
 
-    The patched up-set lists every subobject twice, the best one too, so
-    the greedy HN step of zero_map sees a tie for the maximal
-    destabilizing subobject."""
+    The patched class index lists every member of each class above a
+    stage twice, the best one too, so the greedy HN step of zero_map sees
+    a tie for the maximal destabilizing subobject."""
     from commacat import cli, stability
-    strictly_above = stability.SubobjectLattice.strictly_above
-    monkeypatch.setattr(stability.SubobjectLattice, "strictly_above",
-                        lambda self, i: [*strictly_above(self, i)] * 2)
+    classes_above = stability.SubobjectLattice.classes_above
+    monkeypatch.setattr(
+        stability.SubobjectLattice, "classes_above",
+        lambda self, i: [(c, members * 2)
+                         for c, members in classes_above(self, i)])
     out = tmp_path / "r.json"
     assert cli.main(["hn", "Z", "zero_map", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("construction failed:")

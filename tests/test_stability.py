@@ -36,6 +36,8 @@ from commacat.stability import (
     wall_candidates,
 )
 
+from test_jordanholder import _oracle_contexts
+
 VECT = FinVect(2)
 REP = Rep(ARROW_QUIVER, 2)
 ARROW = CommaCategory(identity_functor(VECT), identity_functor(VECT))
@@ -254,7 +256,7 @@ def test_greedy_matches_the_brute_force_search(seed):
 
 def test_hn_refuses_a_stage_with_nothing_above_it():
     lat = SubobjectLattice(ARROW, ZERO_MAP)
-    lat.strictly_above = lambda i: []
+    lat.classes_above = lambda i: []
     with pytest.raises(CertificateFailure,
                        match="no strictly larger subobject found"):
         hn_filtration(ARROW, Z, ZERO_MAP, lattice=lat)
@@ -387,3 +389,111 @@ def test_nested_factor_classes_cover_the_total():
     classes = nested_factor_classes(lat)
     assert (1, 1, 2) in classes
     assert all(any(c) for c in classes)
+
+
+# -- the greedy step against the walk over the whole up-set -------------
+
+
+def _reference_steepest(lat, z, cur):
+    """The HN step over the whole up-set, the oracle for hn_filtration's
+    step: score every member of strictly_above(cur) and keep the best,
+    refusing a tie."""
+    best = best_score = None
+    for t in lat.strictly_above(cur):
+        diff = lat.diff(t, cur)
+        score = (slope(z, diff), sum(diff))
+        if best_score is None or score > best_score:
+            best, best_score, ties = t, score, 1
+        elif score == best_score:
+            ties += 1
+    if best is not None and ties != 1:
+        raise CertificateFailure(
+            "maximal destabilizing subobject is not unique; "
+            "the greedy invariant is broken")
+    return best
+
+
+def _reference_hn(lat, z):
+    """The step keys and factor classes of the reference walk."""
+    chain = [lat.zero_index]
+    while chain[-1] != lat.whole_index:
+        chain.append(_reference_steepest(lat, z, chain[-1]))
+    return ([lat.keys[i] for i in chain],
+            tuple(lat.diff(j, i) for i, j in zip(chain, chain[1:])))
+
+
+def _hn_outcome(walk):
+    """What a walk returns, or the message of the CertificateFailure it
+    raises."""
+    try:
+        return walk()
+    except CertificateFailure as exc:
+        return str(exc)
+
+
+class _DoubledLattice(SubobjectLattice):
+    """Every member of each class above a stage listed twice.  The
+    inherited strictly_above reads classes_above, so both walks see each
+    subobject twice, and every step has a tie at the top."""
+
+    def classes_above(self, i):
+        return [(c, members * 2)
+                for c, members in super().classes_above(i)]
+
+
+def _dim_charge(cat):
+    """-dim on each left simple, i*dim on each right one."""
+    za = StabilityFunction((GaussianRational(-1, 0),) * cat.left.class_rank)
+    zb = StabilityFunction((GaussianRational(0, 1),) * cat.right.class_rank)
+    return make_comma_stability(za, zb)
+
+
+# the scan geometry for each rank of the right-hand class lattice
+GEOMETRIES = {1: ToyGeometryConfig(deg=(1,), rk=(1,)),
+              2: ToyGeometryConfig.scan_coherent()}
+
+
+def _scan_charges(cat, x, geometry, lo=Fraction(1, 8), hi=8):
+    """stability_from_geometry at lo, at hi, and at every candidate that
+    alpha_scan reports in (lo, hi) and half the least gap either side of
+    it.  The candidates are where two factor slopes cross, so they hold
+    every wall, and they are where a tie is likeliest."""
+    report = alpha_scan(cat, x, geometry, lo, hi)
+    pts = (Fraction(lo), *report.candidates, Fraction(hi))
+    eps = min(q - p for p, q in zip(pts, pts[1:])) / 2
+    alphas = {pts[0], pts[-1]}
+    for w in report.candidates:
+        alphas |= {w - eps, w, w + eps}
+    return len(report.walls), [stability_from_geometry(geometry, a)
+                               for a in sorted(alphas)]
+
+
+def test_hn_steps_match_the_walk_over_the_whole_up_set():
+    """hn_filtration scores each class above a stage once and asks the
+    order only in the first score group with a member above it.  On each
+    of the 278 nonzero objects of the arrow and framed co-comma contexts,
+    and on the scan system, which has a genuine wall, its step keys and
+    factor classes are the reference walk's under the dim charge and
+    under the scan geometry around every candidate.  With every member
+    listed twice, both refuse the tie with the same message."""
+    cases = [scan_setup()]
+    for cat, max_dim in _oracle_contexts():
+        cases += [(cat, x, GEOMETRIES[cat.right.class_rank])
+                  for x in cat.enumerate_objects(max_dim)
+                  if not cat.is_zero_object(x)]
+    walls = 0
+    for cat, x, geometry in cases:
+        lat = SubobjectLattice(cat, x)
+        seen, charges = _scan_charges(cat, x, geometry)
+        walls += seen
+        for z in [_dim_charge(cat), *charges]:
+            hn = hn_filtration(cat, z, x, lattice=lat)
+            assert ([s.key for s in hn.steps], hn.factor_classes) == \
+                _reference_hn(lat, z)
+        doubled = _DoubledLattice(cat, x)
+        z = _dim_charge(cat)
+        refusal = _hn_outcome(lambda: _reference_hn(doubled, z))
+        assert refusal.startswith("maximal destabilizing subobject is not")
+        assert _hn_outcome(
+            lambda: hn_filtration(cat, z, x, lattice=doubled)) == refusal
+    assert len(cases) == 279 and walls >= 1
