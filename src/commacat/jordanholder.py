@@ -48,10 +48,11 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
 
     policy "canonical" takes, at each stage, the first strictly larger
     subobject of minimal positive length jump; "random" draws uniformly
-    among those, seeded.  Both read them from SubobjectLattice.least_above,
-    which scans only the least length with a member above the stage.  A
-    minimal jump is exactly a simple factor: SubobjectLattice.chain says
-    why, and checks it where the context is not abelian_capable.
+    among those, seeded.  Both read them from SubobjectLattice.best_above
+    under minus the length, which asks the order only at the least length
+    with a member above the stage.  A minimal jump is exactly a simple
+    factor: SubobjectLattice.chain says why, and checks it where the
+    context is not abelian_capable.
     """
     if policy not in ("canonical", "random"):
         raise ValueError("policy must be 'canonical' or 'random'")
@@ -62,14 +63,14 @@ def jh_filtration(cat: CategoryInstance, x, policy: str = "canonical",
     rng = random.Random(seed)
     lat = lattice_for(cat, x, lattice)
 
-    def minimal_jump(cur):
+    def pick(found):
         if policy == "canonical":
-            return next(lat.least_above(cur), None)
-        options = list(lat.least_above(cur))
+            return next(found, None)
+        options = list(found)
         return rng.choice(options) if options else None
 
     steps, factor_classes = lat.chain(
-        minimal_jump, lambda cls, proper: not proper,
+        lambda c, below: -sum(c), pick, lambda cls, proper: not proper,
         "composition factor is not simple")
     return JHFiltration(steps, factor_classes)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -77,6 +78,8 @@ class Matrix:
         check_prime(self.modulus)
         _check_shape(self.rows, self.cols)
         _check_count(self.rows, self.cols, self.entries)
+        if not all(isinstance(e, int) for e in self.entries):
+            raise ShapeError("matrix entries must be integers")
         if self.entries and (min(self.entries) < 0
                              or max(self.entries) >= self.modulus):
             bad = next(e for e in self.entries if not 0 <= e < self.modulus)
@@ -86,7 +89,10 @@ class Matrix:
     def build(cls, rows: int, cols: int, modulus: int, entries) -> "Matrix":
         check_prime(modulus)
         _check_shape(rows, cols)
-        entries = tuple(int(e) % modulus for e in entries)
+        try:
+            entries = tuple([operator.index(e) % modulus for e in entries])
+        except TypeError:
+            raise ShapeError("matrix entries must be integers") from None
         _check_count(rows, cols, entries)
         return _made(rows, cols, modulus, entries)
 

@@ -173,10 +173,10 @@ class SubobjectLattice:
     The keys are the ones enumeration carried on each subobject, and the
     order is core.subobject_leq, which compares them; it is asked each
     time, not remembered.  The filtration steps read the indices grouped
-    by class, from class_index, and ask the order only inside the groups
-    they need.  In an abelian category the subobjects of a factor
-    subs[j] / subs[i] are read from what a greedy filtration step has just
-    ranked (see chain).
+    by class, from class_index, and ask the order only inside the
+    best-scoring classes (best_above).  In an abelian category the
+    subobjects of a factor subs[j] / subs[i] are read from what a greedy
+    filtration step has just ranked (see chain).
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -204,27 +204,21 @@ class SubobjectLattice:
 
     @functools.cached_property
     def class_index(self) -> dict:
-        """Each total length, in increasing order, to each class of that
-        length, to its indices in index order; built on the first
-        classes_above or least_above, so a lattice that only a stability
-        test reads never builds it."""
-        by_class = {}
-        for i, c in enumerate(self.classes):
-            by_class.setdefault(c, []).append(i)
+        """Each class to its indices, in index order; built on the first
+        classes_above, so a lattice that only a stability test reads
+        never builds it."""
         index = {}
-        for c, members in by_class.items():
-            index.setdefault(sum(c), {})[c] = members
-        return dict(sorted(index.items()))
+        for i, c in enumerate(self.classes):
+            index.setdefault(c, []).append(i)
+        return index
 
     def classes_above(self, i: int) -> list:
         """The classes that dominate classes[i] componentwise and differ
         from it, with their indices: the only places a strict inclusion
         of subs[i] can end, since its cokernel has a nonzero class."""
         below = self.classes[i]
-        n = sum(below)
-        return [(c, members) for length, classes in self.class_index.items()
-                if length > n for c, members in classes.items()
-                if all(p >= q for p, q in zip(c, below))]
+        return [(c, members) for c, members in self.class_index.items()
+                if c != below and all(map(operator.ge, c, below))]
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or subobject_leq(self.cat, self.subs[i], self.subs[j])
@@ -235,52 +229,50 @@ class SubobjectLattice:
         return sorted(j for _, members in self.classes_above(i)
                       for j in members if self.leq(i, j))
 
-    def least_above(self, i: int):
-        """The j with subs[i] strictly inside subs[j] of least total
-        length, in index order.
+    def best_above(self, i: int, score):
+        """The j with subs[i] strictly inside subs[j] of highest score, in
+        index order.
 
-        The classes above that of i are read by total length, in
-        increasing order, the indices of one length merged in index
-        order; the walk stops after the first length with a member above
-        i.  These are the least-length members of strictly_above(i), in
-        its order.
+        Each class of classes_above(i) is scored once, as score(class,
+        classes[i]); the classes are visited in groups of equal score,
+        highest first, the indices of one group merged in index order.
+        The order is asked lazily, and the walk stops after the first
+        group with a member above i.  These are the highest-scoring
+        members of strictly_above(i), in its order.
         """
         below = self.classes[i]
-        n = sum(below)
-        for length, classes in self.class_index.items():
-            if length <= n:
-                continue
-            runs = [members for c, members in classes.items()
-                    if all(p >= q for p, q in zip(c, below))]
+        scored = sorted(((score(c, below), members)
+                         for c, members in self.classes_above(i)),
+                        key=operator.itemgetter(0), reverse=True)
+        for _, group in itertools.groupby(scored, operator.itemgetter(0)):
             found = False
-            for j in sorted(itertools.chain.from_iterable(runs)):
+            for j in sorted(j for _, members in group for j in members):
                 if self.leq(i, j):
                     found = True
                     yield j
             if found:
                 return
 
-    def chain(self, step, factor_ok, refusal: str):
+    def chain(self, score, pick, factor_ok, refusal: str):
         """The chain from the zero subobject to x, as (steps, factor
         classes), that HN and JH filtrations both walk.
 
-        step(i) returns the next index above i, or None when it finds
-        none, which raises.  Every factor subs[j] / subs[i] must
-        pass factor_ok(its class, its proper classes).  In an
-        abelian_capable context its subobjects are t / subs[i] for the t
-        with subs[i] <= t <= subs[j], and each such t other than subs[i]
-        lies in strictly_above(i).  HN's step visits the classes above i
-        from the highest score down and stops at the first with a member
-        above i, so every class scoring above j's has no member above i,
-        and j is the one member above i at its score: any other t scores
-        lower.  JH's takes j of least length, so any other such t would
-        be shorter still.  So step decides the factor check itself; other
-        contexts check it on the factor's own lattice and raise
+        Each step is pick(best_above(i, score)), the next index above i,
+        or None when pick finds none, which raises.  Every factor
+        subs[j] / subs[i] must pass factor_ok(its class, its proper
+        classes).  In an abelian_capable context its subobjects are
+        t / subs[i] for the t with subs[i] <= t <= subs[j], and each such
+        t other than subs[i] lies in strictly_above(i).  Such a t scores
+        no higher than j, or the walk would have stopped at it first.
+        HN's pick refuses a second member at j's score, so t scores
+        lower; JH scores minus the length, so t, shorter than j, would
+        score higher.  So the step decides the factor check itself;
+        other contexts check it on the factor's own lattice and raise
         CertificateFailure(refusal) when it fails.
         """
         chain = [self.zero_index]
         while chain[-1] != self.whole_index:
-            nxt = step(chain[-1])
+            nxt = pick(self.best_above(chain[-1], score))
             if nxt is None:
                 raise CertificateFailure("no strictly larger subobject found")
             chain.append(nxt)
@@ -374,13 +366,10 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
 
     Each step adjoins the strictly larger subobject maximizing first the
     slope of the new factor, then the factor's total class size: the
-    score.  The score is one per class, so the step scores each class
-    above the current stage once and visits the classes in groups of
-    equal score, highest first, asking the order only for the members of
-    each group.  The first group with a member above the stage holds the
-    maximizer, since every group before it has none.  That maximizer is
-    unique by standard slope theory; uniqueness is checked within the
-    group, as are strictly decreasing slopes.  Each factor is semistable:
+    score, which SubobjectLattice.best_above reads from the highest
+    down.  That maximizer is unique by standard slope theory; uniqueness
+    is checked among the best-scoring members, as are strictly
+    decreasing slopes.  Each factor is semistable:
     SubobjectLattice.chain says why, and checks it where the context is
     not abelian_capable.
     """
@@ -388,25 +377,19 @@ def hn_filtration(cat: CategoryInstance, z: StabilityFunction, x,
         raise ValueError("the zero object has no filtration")
     lat = lattice_for(cat, x, lattice)
 
-    def steepest(cur):
-        below = lat.classes[cur]
-        scored = []
-        for c, members in lat.classes_above(cur):
-            diff = tuple(p - q for p, q in zip(c, below))
-            scored.append(((slope(z, diff), sum(diff)), members))
-        scored.sort(key=operator.itemgetter(0), reverse=True)
-        for _, group in itertools.groupby(scored, operator.itemgetter(0)):
-            hits = [t for _, members in group for t in members
-                    if lat.leq(cur, t)]
-            if len(hits) > 1:
-                raise CertificateFailure(
-                    "maximal destabilizing subobject is not unique; "
-                    "the greedy invariant is broken")
-            if hits:
-                return hits[0]
-        return None
+    def score(c, below):
+        jump = tuple(map(operator.sub, c, below))
+        return slope(z, jump), sum(jump)
 
-    steps, factor_classes = lat.chain(steepest,
+    def unique(found):
+        best = next(found, None)
+        if next(found, None) is not None:
+            raise CertificateFailure(
+                "maximal destabilizing subobject is not unique; "
+                "the greedy invariant is broken")
+        return best
+
+    steps, factor_classes = lat.chain(score, unique,
                                       functools.partial(_semistable_on, z),
                                       "greedy factor is not semistable")
     factor_slopes = tuple(slope(z, c) for c in factor_classes)

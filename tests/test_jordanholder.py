@@ -83,7 +83,7 @@ def test_canonical_chain_fills_the_right_side_first():
 
 def test_jh_refuses_a_stage_with_nothing_above_it():
     lat = SubobjectLattice(VECT, 2)
-    lat.least_above = lambda i: iter(())
+    lat.classes_above = lambda i: []
     for policy in ("canonical", "random"):
         with pytest.raises(CertificateFailure,
                            match="no strictly larger subobject found"):
@@ -105,7 +105,7 @@ def test_lattice_guard_rejects_foreign_lattices():
 
 
 def _reference_step_keys(lat, policy, seed):
-    """The JH walk over the whole up-set, the oracle for least_above: rank
+    """The JH walk over the whole up-set, the oracle for the JH step: rank
     all of strictly_above(i) by length jump, then take the first of the
     least jumps, or a seeded draw among them."""
     rng = random.Random(seed)
@@ -199,3 +199,34 @@ def test_comma_simples_re_verifies():
         assert is_simple(ARROW, s)
     classes = sorted(ARROW.class_vector(s) for s in out)
     assert classes == [(0, 1), (1, 0)]
+
+
+class _SimplesOfDimensionTwo(FinVect):
+    """Declares F_2^2, which has proper nontrivial subobjects, simple."""
+
+    def simples(self):
+        return (2,)
+
+
+def test_comma_simples_refuses_a_declared_simple_with_a_proper_subobject():
+    with pytest.raises(CertificateFailure,
+                       match="declared simple .* has a proper nontrivial"):
+        comma_simples(_SimplesOfDimensionTwo(2))
+
+
+def test_length_refuses_a_policy_dependent_length(monkeypatch):
+    """A random series one step short of the canonical one."""
+    from commacat import jordanholder
+    series = jordanholder.jh_filtration
+
+    def short_random(cat, x, policy="canonical", **kwargs):
+        got = series(cat, x, policy, **kwargs)
+        if policy == "canonical":
+            return got
+        return jordanholder.JHFiltration(got.steps[:-1],
+                                         got.factor_classes[:-1])
+
+    monkeypatch.setattr(jordanholder, "jh_filtration", short_random)
+    with pytest.raises(CertificateFailure,
+                       match="composition length depended on the policy"):
+        length(VECT, 2)

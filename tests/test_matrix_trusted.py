@@ -10,6 +10,7 @@ hashed yet."""
 import dataclasses
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,24 @@ def test_build_reduces_what_it_trusts():
 def test_public_constructors_refuse_bad_shapes(make):
     with pytest.raises(ShapeError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix(1, 1, 3, (0.5,)),
+    lambda: Matrix.build(1, 2, 3, [2.5, Fraction(7, 2)]),
+    lambda: Matrix.from_rows([[1, 2.0]], 3),
+    lambda: FinVect(3).mor_from_flat(1, 1, (Fraction(1),)),
+], ids=["checked", "build", "from-rows", "mor-from-flat"])
+def test_public_constructors_refuse_non_integer_entries(make):
+    """Each refuses the entry, where int() would truncate it or rref
+    would fail on it later."""
+    with pytest.raises(ShapeError, match="must be integers"):
+        make()
+
+
+def test_public_constructors_accept_boolean_entries():
+    assert Matrix(1, 2, 3, (True, False)).entries == (1, 0)
+    assert Matrix.build(1, 2, 3, (True, False)).entries == (1, 0)
 
 
 @pytest.mark.parametrize("make", [

@@ -267,6 +267,30 @@ def test_hn_rejects_the_zero_object():
         hn_filtration(ARROW, Z, ARROW.zero_object())
 
 
+def test_hn_refuses_factor_slopes_that_do_not_decrease():
+    """A chain whose factor classes (0, 1), (1, 0) have slopes 0, then
+    inf under Z."""
+    lat = SubobjectLattice(ARROW, ZERO_MAP)
+    lat.chain = lambda *args: ((), ((0, 1), (1, 0)))
+    with pytest.raises(CertificateFailure,
+                       match="factor slopes are not strictly decreasing"):
+        hn_filtration(ARROW, Z, ZERO_MAP, lattice=lat)
+
+
+class _RepeatedZero(FinVect):
+    """Enumerates the zero subobject twice."""
+
+    def enumerate_subobjects(self, x):
+        subs = super().enumerate_subobjects(x)
+        return subs + tuple(s for s in subs if s.obj == 0)
+
+
+def test_lattice_refuses_a_repeated_subobject_key():
+    with pytest.raises(CertificateFailure,
+                       match="subobject enumeration repeated a key"):
+        SubobjectLattice(_RepeatedZero(2), 2)
+
+
 def test_lattice_reuse_gives_identical_answers():
     lat = SubobjectLattice(ARROW, ZERO_MAP)
     assert hn_type(ARROW, Z, ZERO_MAP, lat) == hn_type(ARROW, Z, ZERO_MAP)

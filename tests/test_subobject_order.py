@@ -30,6 +30,7 @@ from commacat.stability import (
     SubobjectLattice,
     hn_filtration,
     is_semistable,
+    slope,
 )
 
 MAX_DIM = {2: 3, 3: 2}
@@ -114,11 +115,20 @@ def test_pruned_up_sets_match_the_order(name, p):
 
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("name", EXACT + CONFIRMED)
-def test_least_above_is_the_least_length_slice_of_the_up_set(name, p):
-    """least_above reads only the least length with a member above i; it
-    must list exactly the members of strictly_above(i) of least total
-    length, in order, and nothing where strictly_above(i) is empty."""
+def test_best_above_is_the_best_scoring_slice_of_the_up_set(name, p):
+    """best_above asks the order only in the best-scoring classes with a
+    member above i.  Under minus the length it must list exactly the
+    members of strictly_above(i) of least total length; under an HN score,
+    the slope of the jump under a charge of the context's rank and then
+    its length, exactly the highest-scoring members.  Both in order, and
+    nothing where strictly_above(i) is empty."""
     cat = _contexts(p)[name]
+    z = _stability_functions(cat.class_rank, 1)[0]
+
+    def hn_score(c, below):
+        jump = tuple(q - r for q, r in zip(c, below))
+        return slope(z, jump), sum(jump)
+
     objects = 0
     for x in cat.enumerate_objects(3):
         try:
@@ -129,9 +139,12 @@ def test_least_above_is_the_least_length_slice_of_the_up_set(name, p):
         objects += 1
         for i in range(len(lat.subs)):
             above = lat.strictly_above(i)
-            least = min((sum(lat.classes[j]) for j in above), default=None)
-            assert list(lat.least_above(i)) == [
-                j for j in above if sum(lat.classes[j]) == least]
+            for score in (lambda c, below: -sum(c), hn_score):
+                scores = [score(lat.classes[j], lat.classes[i])
+                          for j in above]
+                best = max(scores, default=None)
+                assert list(lat.best_above(i, score)) == [
+                    j for j, s in zip(above, scores) if s == best]
     assert objects
 
 
