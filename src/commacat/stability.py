@@ -166,6 +166,13 @@ def restrict_comma_stability(z: StabilityFunction):
 # -- the subobject poset, precomputed ------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def shared_classes(classes: tuple) -> tuple:
+    """classes, or the equal tuple returned before: a sweep that keeps
+    many filtrations holds each distinct factor-class sequence once."""
+    return classes
+
+
 class SubobjectLattice:
     """The full subobject poset of one ambient object with keys and
     classes.
@@ -277,7 +284,7 @@ class SubobjectLattice:
                 raise CertificateFailure("no strictly larger subobject found")
             chain.append(nxt)
         pairs = list(zip(chain, chain[1:]))
-        classes = tuple(self.diff(j, i) for i, j in pairs)
+        classes = shared_classes(tuple(self.diff(j, i) for i, j in pairs))
         if not self.cat.abelian_capable and not all(
                 factor_ok(c, self.factor_proper_classes(i, j))
                 for (i, j), c in zip(pairs, classes)):

@@ -296,6 +296,21 @@ def test_lattice_reuse_gives_identical_answers():
     assert hn_type(ARROW, Z, ZERO_MAP, lat) == hn_type(ARROW, Z, ZERO_MAP)
 
 
+def test_equal_factor_class_sequences_are_one_tuple():
+    """A sweep that keeps many filtrations holds each distinct sequence
+    of factor classes once: IDENTITY_MAP and ZERO_MAP have one JH
+    sequence, and two HN filtrations of ZERO_MAP, each on its own
+    lattice, return one tuple."""
+    jh_identity = jh_filtration(ARROW, IDENTITY_MAP).factor_classes
+    jh_zero = jh_filtration(ARROW, ZERO_MAP).factor_classes
+    assert jh_identity == jh_zero == ((0, 1), (1, 0))
+    assert jh_identity is jh_zero
+    first, second = (hn_filtration(ARROW, Z, triple(1, 1, [[0]]))
+                     for _ in range(2))
+    assert first.factor_classes == ((1, 0), (0, 1))
+    assert first.factor_classes is second.factor_classes
+
+
 @pytest.mark.parametrize("build", [
     lambda x, lat: hn_filtration(ARROW, Z, x, lattice=lat),
     lambda x, lat: jh_filtration(ARROW, x, lattice=lat),

@@ -32,5 +32,6 @@ def test_layer_metrics_cache_sites_exist():
                  "commacat.cocomma._cocomma_hom_basis",
                  # cleared before every pass, so that no pass starts warm
                  "commacat.comma._glued_kernel",
-                 "commacat.comma._glued_cokernel"):
+                 "commacat.comma._glued_cokernel",
+                 "commacat.stability.shared_classes"):
         assert name in sites
