@@ -12,6 +12,7 @@ from .cocomma import CoCommaCategory, CoCommaObject
 from .comma import (
     CommaCategory,
     CommaObject,
+    GluedSubobject,
     component_sequences,
     verify_comma_abelian,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "FinVect",
     "FunctorSpec",
     "GaussianRational",
+    "GluedSubobject",
     "Matrix",
     "Mor",
     "Quiver",

@@ -211,7 +211,7 @@ def _cmd_hn(ws: Workspace, args, seed: int):
     hn = hn_filtration(home, z, x)
     results = {
         "home": home_name,
-        "steps": [list(home.class_vector(s.obj)) for s in hn.steps],
+        "steps": [list(home.subobject_class(s)) for s in hn.steps],
         "factor_classes": [list(c) for c in hn.factor_classes],
         "factor_slopes": [str(s) for s in hn.factor_slopes],
         # every factor is semistable: hn_filtration raises otherwise
@@ -229,7 +229,7 @@ def _cmd_jh(ws: Workspace, args, seed: int):
     results = {
         "home": home_name,
         "length": filt.length,
-        "steps": [list(home.class_vector(s.obj)) for s in filt.steps],
+        "steps": [list(home.subobject_class(s)) for s in filt.steps],
         "factor_classes": [list(c) for c in filt.factor_classes],
         "factor_multiset": [list(c) for c in filt.factor_multiset()],
         "policy_independent": agree,

@@ -41,7 +41,8 @@ class Subobject:
     key is the instance's canonical key of the subobject, equal to
     subobject_key(mono).  Enumeration sets it from the data it already
     holds, and subobject_leq compares keys instead of solving for a
-    factorization.
+    factorization.  The glued categories enumerate comma.GluedSubobject
+    records instead, which build obj and mono on first read.
     """
 
     obj: Any
@@ -242,6 +243,12 @@ class CategoryInstance(abc.ABC):
     def enumerate_subobjects(self, x) -> tuple:
         """All subobjects of x as Subobject records, canonical order,
         including the zero subobject and x itself."""
+
+    def subobject_class(self, sub) -> tuple:
+        """The class of one of enumerate_subobjects' records; a glued
+        instance reads it off the record's parts, without building its
+        object."""
+        return self.class_vector(sub.obj)
 
     @abc.abstractmethod
     def subobject_key(self, mono: Mor):

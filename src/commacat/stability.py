@@ -178,12 +178,14 @@ class SubobjectLattice:
     classes.
 
     The keys are the ones enumeration carried on each subobject, and the
-    order is core.subobject_leq, which compares them; it is asked each
-    time, not remembered.  The filtration steps read the indices grouped
-    by class, from class_index, and ask the order only inside the
-    best-scoring classes (best_above).  In an abelian category the
-    subobjects of a factor subs[j] / subs[i] are read from what a greedy
-    filtration step has just ranked (see chain).
+    classes are read through cat.subobject_class, so a glued record's
+    object and structure map are built only where a caller reads them
+    (comma.GluedSubobject).  The order is core.subobject_leq, which
+    compares keys; it is asked each time, not remembered.  The filtration
+    steps read the indices grouped by class, from class_index, and ask the
+    order only inside the best-scoring classes (best_above).  In an
+    abelian category the subobjects of a factor subs[j] / subs[i] are read
+    from what a greedy filtration step has just ranked (see chain).
     """
 
     def __init__(self, cat: CategoryInstance, x):
@@ -193,16 +195,16 @@ class SubobjectLattice:
         self.keys = [s.key for s in self.subs]
         if len(set(self.keys)) != len(self.keys):
             raise CertificateFailure("subobject enumeration repeated a key")
-        self.classes = [cat.class_vector(s.obj) for s in self.subs]
-        self.zero_index = next((i for i, s in enumerate(self.subs)
-                                if cat.is_zero_object(s.obj)), None)
-        if self.zero_index is None:
+        self.classes = [cat.subobject_class(s) for s in self.subs]
+        # classes are dimension vectors, so the zero subobject is the one
+        # of zero class, and x its one subobject of full class
+        whole = cat.class_vector(x)
+        zero = (0,) * len(whole)
+        if zero not in self.classes:
             raise ExactnessViolation(
                 f"{cat.describe_object(x)} has no zero subobject; "
                 "the category is not abelian on this object")
-        # classes are dimension vectors, so x is its one subobject of
-        # full class
-        whole = cat.class_vector(x)
+        self.zero_index = self.classes.index(zero)
         if whole not in self.classes:
             raise ExactnessViolation(
                 f"{cat.describe_object(x)} is not among its own subobjects; "

@@ -1,9 +1,10 @@
 """The sampled-cone verifiers, the solved two-sided inverse, the
-solve-path verdict on the induced map and the per-morphism cancellation
-test, kept as the references that the rank-identity verifiers, the
-componentwise iso test and the component certificate of commacat.core and
-the linear cancellation sweep of the co-comma criterion are compared
-against.
+solve-path verdict on the induced map, the per-morphism cancellation test
+and the solve-per-pair glued subobject enumeration, kept as the references
+that the rank-identity verifiers, the componentwise iso test and the
+component certificate of commacat.core, the linear cancellation sweep of
+the co-comma criterion and the key-containment enumeration of
+commacat.comma are compared against.
 
 At each test object the oracle builds the basis of the cones that m kills,
 samples a few of them, solves for their factorization through the
@@ -17,6 +18,7 @@ from typing import Optional
 from commacat.core import (
     CategoryInstance,
     Mor,
+    Subobject,
     _combine,
     _hom_action,
     induced_morphism,
@@ -24,6 +26,7 @@ from commacat.core import (
     try_through_mono,
 )
 from commacat.errors import ExactnessViolation
+from commacat.functors import apply_on_morphism
 from commacat.linalg import kernel_basis, rank
 
 CONES_PER_OBJECT = 2
@@ -129,3 +132,29 @@ def postcomposition_injective(cat, m, tests) -> bool:
         if rank(action) != action.cols:
             return False
     return True
+
+
+def eager_glued_subobjects(cat, x) -> tuple:
+    """Pairs (subobject of x.a in the left view, subobject of x.b) whose
+    square into x is closed by a structure map, each solved for and built
+    as a Subobject, left outside and right inside.
+
+    When left components run backwards the left view's subobjects are the
+    quotients of x.a, keyed by their kernels.  The structure map is unique
+    because the leg it is solved through keeps that mono mono or epi epi.
+    """
+    gl = cat.right_functor
+    rights = [(sub_b, apply_on_morphism(gl, sub_b.mono))
+              for sub_b in cat.right.enumerate_subobjects(x.b)]
+    out = []
+    for sub_a in cat._left_view.enumerate_subobjects(x.a):
+        solve = cat._structure_solver(
+            None, x, apply_on_morphism(cat.left_functor, sub_a.mono), exact=False)
+        for sub_b, g_mono in rights:
+            alpha_s = solve(g_mono)
+            if alpha_s is None:
+                continue
+            sobj = cat._object_class(sub_a.obj, sub_b.obj, alpha_s)
+            out.append(Subobject(sobj, Mor(sobj, x, (sub_a.mono, sub_b.mono)),
+                                 (sub_a.key, sub_b.key)))
+    return tuple(out)
