@@ -282,10 +282,6 @@ class CommaCategory(CategoryInstance):
 
     # objects; the opposite of the left category has the same ones
 
-    @property
-    def class_rank(self) -> int:
-        return self.left.class_rank + self.right.class_rank
-
     def split(self, a, b) -> CommaObject:
         """The split triple (a, b, 0): the zero map F(a) -> G(b)."""
         fa = apply_on_object(self.left_functor, a)
@@ -295,9 +291,6 @@ class CommaCategory(CategoryInstance):
     def zero_object(self) -> CommaObject:
         return self.split(self.left.zero_object(), self.right.zero_object())
 
-    def is_zero_object(self, x) -> bool:
-        return self.left.is_zero_object(x.a) and self.right.is_zero_object(x.b)
-
     def is_object(self, x) -> bool:
         """Whether x is a triple of this construction: objects of the
         component categories and a structure map between their images."""
@@ -306,9 +299,6 @@ class CommaCategory(CategoryInstance):
                 and (x.alpha.source, x.alpha.target)
                 == (apply_on_object(self.left_functor, x.a),
                     apply_on_object(self.right_functor, x.b)))
-
-    def dim_total(self, x) -> int:
-        return self.left.dim_total(x.a) + self.right.dim_total(x.b)
 
     def class_vector(self, x) -> tuple:
         return self.left.class_vector(x.a) + self.right.class_vector(x.b)

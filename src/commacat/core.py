@@ -78,6 +78,15 @@ class CategoryInstance(abc.ABC):
 
     Concrete subclasses are frozen dataclasses, so two instances built from
     the same data are interchangeable and usable as cache keys.
+
+    Every simple is one-dimensional over F_p, so an object's class vector
+    is its dimension vector.  That one rule derives dim_total,
+    is_zero_object and class_rank from class_vector here.  An instance
+    supplies the abstract hooks: zero_object, is_object, class_vector,
+    simples, enumerate_objects and sample_object; identity, zero_morphism,
+    compose, hom_basis, mor_flat, mor_from_flat, _factor_mono and
+    _factor_epi; kernel, cokernel, biproduct, enumerate_subobjects,
+    subobject_key, subobject_key_leq, is_mono and is_epi.
     """
 
     field: int
@@ -92,17 +101,8 @@ class CategoryInstance(abc.ABC):
 
     # -- objects ---------------------------------------------------------
 
-    @property
-    @abc.abstractmethod
-    def class_rank(self) -> int:
-        """Rank of the free abelian group on the simple classes."""
-
     @abc.abstractmethod
     def zero_object(self):
-        ...
-
-    @abc.abstractmethod
-    def is_zero_object(self, x) -> bool:
         ...
 
     @abc.abstractmethod
@@ -110,12 +110,20 @@ class CategoryInstance(abc.ABC):
         """Whether x is an object of this instance."""
 
     @abc.abstractmethod
-    def dim_total(self, x) -> int:
-        """Total dimension over F_p, used for budgets and sweep bounds."""
-
-    @abc.abstractmethod
     def class_vector(self, x) -> tuple:
         """Coordinates of [x] in the simple-class basis."""
+
+    @property
+    def class_rank(self) -> int:
+        """Rank of the free abelian group on the simple classes."""
+        return len(self.class_vector(self.zero_object()))
+
+    def is_zero_object(self, x) -> bool:
+        return not any(self.class_vector(x))
+
+    def dim_total(self, x) -> int:
+        """Total dimension over F_p, used for budgets and sweep bounds."""
+        return sum(self.class_vector(x))
 
     @abc.abstractmethod
     def simples(self) -> tuple:
@@ -216,14 +224,14 @@ class CategoryInstance(abc.ABC):
             return self._factor_epi(epi, m)
         return try_solve_right(self, epi.target, m.target, [(epi, m)])
 
+    @abc.abstractmethod
     def _factor_mono(self, mono: Mor, m: Mor) -> Optional[Mor]:
-        """factor_through_mono for a mono with the same target as m; the
-        default is the hom-space solve, instances solve per component."""
-        return try_solve_left(self, m.source, mono.source, [(mono, m)])
+        """factor_through_mono for a mono with the same target as m, solved
+        per component."""
 
+    @abc.abstractmethod
     def _factor_epi(self, epi: Mor, m: Mor) -> Optional[Mor]:
         """factor_through_epi for an epi with the same source as m."""
-        return try_solve_right(self, epi.target, m.target, [(epi, m)])
 
     # -- abelian structure ----------------------------------------------
 
@@ -267,11 +275,13 @@ class CategoryInstance(abc.ABC):
         """Whether subobject_key_leq alone decides the subobject order."""
         return True
 
+    @abc.abstractmethod
     def is_mono(self, m: Mor) -> bool:
-        return self.is_zero_object(self.kernel(m)[0])
+        """Whether ker m is zero, read off component ranks."""
 
+    @abc.abstractmethod
     def is_epi(self, m: Mor) -> bool:
-        return self.is_zero_object(self.cokernel(m)[0])
+        """Whether coker m is zero, read off component ranks."""
 
     # -- class certificates ----------------------------------------------
 

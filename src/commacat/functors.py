@@ -154,7 +154,8 @@ def _hom_data(src: CategoryInstance, x, y):
     return basis, pivots
 
 
-def _hom_action(f: FunctorSpec, s, t, basis_of, pivots_of, compose) -> Mor:
+def _hom_on_morphism(f: FunctorSpec, s, t, basis_of, pivots_of,
+                     compose) -> Mor:
     """F(m) for the hom kinds: compose each element of the basis of
     Hom(*basis_of) and read the result at the pivots of Hom(*pivots_of)."""
     basis, _ = _hom_data(f.source, *basis_of)
@@ -267,13 +268,13 @@ KINDS = {
                         _exact),
     "hom_from": FunctorKind(
         lambda f, x: len(_hom_data(f.source, f.params[0], x)[0]),
-        lambda f, m, s, t: _hom_action(
+        lambda f, m, s, t: _hom_on_morphism(
             f, s, t, (f.params[0], m.source), (f.params[0], m.target),
             lambda phi: f.source.compose(m, phi)),
         _left, "source_object", target=FinVect),
     "hom_into": FunctorKind(
         lambda f, x: len(_hom_data(f.source, x, f.params[0])[0]),
-        lambda f, m, s, t: _hom_action(
+        lambda f, m, s, t: _hom_on_morphism(
             f, s, t, (m.target, f.params[0]), (m.source, f.params[0]),
             lambda psi: f.source.compose(psi, m)),
         lambda src, tgt, w: (True, isinstance(src, FinVect)),

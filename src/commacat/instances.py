@@ -71,21 +71,11 @@ class FinVect(CategoryInstance):
 
     # objects
 
-    @property
-    def class_rank(self) -> int:
-        return 1
-
     def zero_object(self):
         return 0
 
-    def is_zero_object(self, x) -> bool:
-        return x == 0
-
     def is_object(self, x) -> bool:
         return is_int(x) and x >= 0
-
-    def dim_total(self, x) -> int:
-        return x
 
     def class_vector(self, x) -> tuple:
         return (x,)
@@ -268,17 +258,10 @@ class Rep(CategoryInstance):
 
     # objects
 
-    @property
-    def class_rank(self) -> int:
-        return self.quiver.vertices
-
     def zero_object(self) -> RepObject:
         n = self.quiver.vertices
         return RepObject((0,) * n,
                          tuple(Matrix.zero(0, 0, self.field) for _ in self.quiver.arrows))
-
-    def is_zero_object(self, x) -> bool:
-        return all(d == 0 for d in x.dims)
 
     def is_object(self, x) -> bool:
         """Whether x is a representation of this quiver over this field."""
@@ -289,9 +272,6 @@ class Rep(CategoryInstance):
                 and all(isinstance(m, Matrix) and m.modulus == self.field
                         and (m.rows, m.cols) == (x.dims[t], x.dims[s])
                         for m, (s, t) in zip(x.maps, self.quiver.arrows)))
-
-    def dim_total(self, x) -> int:
-        return sum(x.dims)
 
     def class_vector(self, x) -> tuple:
         return x.dims

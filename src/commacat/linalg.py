@@ -30,14 +30,19 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes or moduli."""
 
 
-@cache
 def check_prime(p: int) -> None:
+    # the type check comes before the cache, which cannot hash a list
     if not isinstance(p, int) or p < 2 or p >= MAX_MODULUS:
         raise ValueError(f"modulus must be a prime in [2, 2**31), got {p!r}")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
+@cache
+def _is_prime(p: int) -> bool:
     # trial division: each verdict is cached and p < 2**31, so the worst
     # case is about 46,000 divisions
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"modulus {p} is not prime")
+    return all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 def hash_once(cls):

@@ -192,8 +192,7 @@ class SubobjectLattice:
         self.cat = cat
         self.x = x
         self.subs = cat.enumerate_subobjects(x)
-        self.keys = [s.key for s in self.subs]
-        if len(set(self.keys)) != len(self.keys):
+        if len({s.key for s in self.subs}) != len(self.subs):
             raise CertificateFailure("subobject enumeration repeated a key")
         self.classes = [cat.subobject_class(s) for s in self.subs]
         # classes are dimension vectors, so the zero subobject is the one

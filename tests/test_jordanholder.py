@@ -118,7 +118,7 @@ def _reference_step_keys(lat, policy, seed):
         options = [t for t, n in zip(above, jumps) if n == least]
         chain.append(options[0] if policy == "canonical"
                      else rng.choice(options))
-    return [lat.keys[i] for i in chain]
+    return [lat.subs[i].key for i in chain]
 
 
 def _oracle_contexts():

@@ -136,7 +136,13 @@ def test_public_constructors_accept_boolean_entries():
     lambda: Matrix.from_rows([[1]], 6),
     lambda: Matrix.zero(1, 1, 9),
     lambda: Matrix.identity(2, 2 ** 31),
-], ids=["checked", "build", "from-rows", "zero", "identity"])
+    # unhashable moduli: refused by the type check, not by the verdict cache
+    lambda: Matrix.build(1, 1, [2], (1,)),
+    lambda: Matrix.zero(0, 0, {}),
+    lambda: FinVect([2]),
+    lambda: Rep(Quiver(1, ()), [3]),
+], ids=["checked", "build", "from-rows", "zero", "identity", "build-list",
+        "zero-dict", "finvect-list", "rep-list"])
 def test_public_constructors_refuse_non_prime_moduli(make):
     with pytest.raises(ValueError, match="modulus"):
         make()

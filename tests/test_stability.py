@@ -457,7 +457,7 @@ def _reference_hn(lat, z):
     chain = [lat.zero_index]
     while chain[-1] != lat.whole_index:
         chain.append(_reference_steepest(lat, z, chain[-1]))
-    return ([lat.keys[i] for i in chain],
+    return ([lat.subs[i].key for i in chain],
             tuple(lat.diff(j, i) for i, j in zip(chain, chain[1:])))
 
 

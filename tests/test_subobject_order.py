@@ -162,7 +162,8 @@ def test_lattice_whole_is_the_identity_subobject(name, p):
             assert name in CONFIRMED
             continue
         objects += 1
-        assert lat.keys[lat.whole_index] == cat.subobject_key(cat.identity(x))
+        assert lat.subs[lat.whole_index].key == \
+            cat.subobject_key(cat.identity(x))
     assert objects
 
 
@@ -183,7 +184,8 @@ def _stability_functions(rank: int, count: int = 3) -> list:
 
 def _factor_objects(lat, filt) -> list:
     """The factor objects of a filtration whose steps come from lat."""
-    chain = [lat.keys.index(s.key) for s in filt.steps]
+    keys = [t.key for t in lat.subs]
+    chain = [keys.index(s.key) for s in filt.steps]
     return [lat.factor_object(i, j) for i, j in zip(chain, chain[1:])]
 
 
