@@ -668,8 +668,11 @@ def glued_subobjects(cat: CommaCategory, x) -> tuple:
     mono mono or epi epi, the case subobject_key_order_exact names.  So one
     key test per pair decides it, from keys taken once per part, and no
     structure map is built until a record is read.  Where the flags do not
-    declare it, each pair that passes is confirmed by the solve, which
-    refuses it or raises where the map is not unique.
+    declare it, each pair that passes is confirmed by the solve.  Over a
+    FinVect or Rep cone, with the shipped functor kinds, key containment
+    already gives a map, so there the solve only raises where the map is
+    not unique.  It refuses a pair only over a cone whose own key order is
+    not exact, a glued cone, which no workspace can name.
     """
     c = cat.cone
     lefts = _subobject_parts(cat, True, x.a)

@@ -55,10 +55,6 @@ class ShortExactSequence:
     sub: Mor
     quot: Mor
 
-    @property
-    def middle(self):
-        return self.sub.target
-
 
 @dataclass(frozen=True)
 class CheckReport:

@@ -22,10 +22,10 @@ from .instances import FinVect, Rep, RepObject, is_int
 from .linalg import (
     Matrix,
     block_diag,
-    hash_once,
     image_basis,
     kernel_basis,
     quotient_map,
+    rank,
     solve,
     solve_left,
 )
@@ -34,7 +34,6 @@ from .linalg import (
 _PROBE_DIM = 3
 
 
-@hash_once
 @dataclass(frozen=True)
 class FunctorSpec:
     """A functor between two category instances, with declared behaviour.
@@ -165,20 +164,23 @@ def _hom_on_morphism(f: FunctorSpec, s, t, basis_of, pivots_of,
                                   (flat[i] for i in pivots for flat in flats)))
 
 
-@cache
 def _arrow_kernel_incl(x: RepObject, a: int) -> Matrix:
     return kernel_basis(x.maps[a]).basis.transpose()
 
 
-@cache
-def _arrow_cokernel_proj(x: RepObject, a: int, head: int) -> Matrix:
-    proj, _ = quotient_map(x.dims[head], image_basis(x.maps[a]))
+def _arrow_cokernel_proj(x: RepObject, a: int) -> Matrix:
+    proj, _ = quotient_map(x.maps[a].rows, image_basis(x.maps[a]))
     return proj
 
 
+def _arrow_kernel_dim(f: FunctorSpec, x: RepObject) -> int:
+    m = x.maps[f.params[0]]
+    return m.cols - rank(m)
+
+
 def _arrow_cokernel_dim(f: FunctorSpec, x: RepObject) -> int:
-    a = f.params[0]
-    return _arrow_cokernel_proj(x, a, f.source.quiver.arrows[a][1]).rows
+    m = x.maps[f.params[0]]
+    return m.rows - rank(m)
 
 
 def _arrow_kernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
@@ -197,8 +199,8 @@ def _arrow_kernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
 def _arrow_cokernel_map(f: FunctorSpec, m: Mor, s, t) -> Mor:
     a = f.params[0]
     head = f.source.quiver.arrows[a][1]
-    pr_x = _arrow_cokernel_proj(m.source, a, head)
-    induced = solve_left(pr_x, _arrow_cokernel_proj(m.target, a, head)
+    pr_x = _arrow_cokernel_proj(m.source, a)
+    induced = solve_left(pr_x, _arrow_cokernel_proj(m.target, a)
                          .mul(m.data[head]))
     if induced is None:
         raise ExactnessViolation(
@@ -284,8 +286,7 @@ KINDS = {
         lambda f, m, s, t: Mor(s, t, m.data[f.params[0]]),
         _exact, "vertex", Rep, FinVect),
     "arrow_kernel": FunctorKind(
-        lambda f, x: _arrow_kernel_incl(x, f.params[0]).cols,
-        _arrow_kernel_map, _left, "arrow", Rep, FinVect),
+        _arrow_kernel_dim, _arrow_kernel_map, _left, "arrow", Rep, FinVect),
     "arrow_cokernel": FunctorKind(
         _arrow_cokernel_dim, _arrow_cokernel_map,
         lambda src, tgt, a: (False, True), "arrow", Rep, FinVect),
@@ -320,7 +321,6 @@ def functor_kind(kind) -> FunctorKind:
 # -- application ---------------------------------------------------------
 
 
-@cache
 def apply_on_object(f: FunctorSpec, x):
     return KINDS[f.kind].on_object(f, x)
 
@@ -346,10 +346,6 @@ class FunctorReport:
     right_exact: CheckReport
     flag_mismatches: tuple
     unwitnessed_negations: tuple
-
-    @property
-    def clean(self) -> bool:
-        return self.laws.clean and not self.flag_mismatches
 
 
 def check_functor(f: FunctorSpec, samples: int = 40, seed: int = 0,

@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
 
 from .core import CategoryInstance, Mor, Subobject
 from .errors import ExactnessViolation, ForeignMorphism
@@ -37,7 +36,6 @@ from .linalg import (
 )
 
 
-@hash_once
 @dataclass(frozen=True)
 class Budget:
     """Enumeration guard rails; the CLI's --budget overrides max_vectors,
@@ -186,7 +184,6 @@ class FinVect(CategoryInstance):
 # -- quivers -------------------------------------------------------------
 
 
-@hash_once
 @dataclass(frozen=True)
 class Quiver:
     """A finite quiver, required acyclic so every representation category
@@ -216,7 +213,6 @@ class Quiver:
 ARROW_QUIVER = Quiver(2, ((0, 1),))
 
 
-@cache
 def _paths_from(q: Quiver, v: int):
     """All paths out of v as arrow-index tuples, grouped per end vertex,
     each group sorted lexicographically."""

@@ -420,21 +420,27 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_exit_3_on_malformed_workspace(tmp_path, case):
-    """A workspace of the wrong shape or types is refused at load, and a
-    geometry of the wrong rank by the scan: exit 3, one spec error line,
-    no traceback."""
-    edits, command, *workspace = MALFORMED[case]
-    with open(bundled(workspace[0] if workspace else "arrow")) as fh:
+def _edited(workspace: str, edits) -> dict:
+    """A bundled workspace with each (path..., key, value) edit made."""
+    with open(bundled(workspace)) as fh:
         doc = json.load(fh)
     for *path, key, value in edits:
         node = doc
         for step in path:
             node = node[step]
         node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_exit_3_on_malformed_workspace(tmp_path, case):
+    """A workspace of the wrong shape or types is refused at load, and a
+    geometry of the wrong rank by the scan: exit 3, one spec error line,
+    no traceback."""
+    edits, command, *workspace = MALFORMED[case]
     spec = tmp_path / "malformed.json"
-    spec.write_text(json.dumps(doc))
+    spec.write_text(json.dumps(_edited(workspace[0] if workspace else "arrow",
+                                       edits)))
     proc = run_cli(*command, "--spec", str(spec), check_code=3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
@@ -462,6 +468,95 @@ def test_exit_3_on_a_scan_range_outside_0_lo_hi(scan_range):
                    "--spec", bundled("coherent_systems"), check_code=3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("spec error:"), proc.stderr
+
+
+# each case: the command, edits to a bundled workspace as in MALFORMED
+# (None for a workspace that is not a JSON object), the workspace when it
+# is not arrow, and the words of the refusal
+REFUSED = {
+    "subobjects-of-a-category-object": (
+        ("subobjects", "arrow", "line"), [], "arrow",
+        "object 'line' lives in 'vect', not 'arrow'"),
+    "hn-table-of-another-rank": (
+        ("hn", "Z", "line"), [], "arrow",
+        "stability table rank 2 does not match the class rank 1 of 'vect'"),
+    "hn-on-a-zero-object": (
+        ("hn", "Z", "null"), [("objects", "null", {"category": "vect",
+                                                  "dim": 0})], "arrow",
+        "the zero object has no filtration"),
+    "scan-range-without-a-colon": (
+        ("scan-alpha", "system", "toy_curve", "2"), [], "coherent_systems",
+        "range must look like lo:hi"),
+    "scan-of-a-category-object": (
+        ("scan-alpha", "bundle", "toy_curve", "1/2:4"), [],
+        "coherent_systems", "scan-alpha expects an object in a glued context"),
+    "kernel-of-another-context": (
+        ("kernel", "twin", "into_diagonal"),
+        [("contexts", "twin", {"kind": "comma", "left": "left_embed",
+                               "right": "right_embed"})], "arrow",
+        "morphism 'into_diagonal' lives in context 'arrow', not 'twin'"),
+    "rational-a-boolean": (
+        VALIDATE, [("stability", "Z", "coefficients",
+                    [[True, "0"], ["0", "1"]])], "arrow",
+        "expected a rational, got True"),
+    "matrix-entry-a-fraction": (
+        VALIDATE, [("objects", "zero_map", "alpha", [[0.5]])], "arrow",
+        "matrix entries must be integers"),
+    "rep-morphism-one-matrix-short": (
+        VALIDATE, [("morphisms", "drop_framing", "right", [[]])],
+        "framed_modules", "need one matrix per vertex"),
+    "weights-a-string": (
+        VALIDATE, [("stability", "Z", "weights", "1/2")], "arrow",
+        "weights must be [x, y]"),
+    "root-a-list": (VALIDATE, None, "arrow",
+                    "workspace root must be an object"),
+    "morphism-source-of-another-home": (
+        VALIDATE, [("morphisms", "into_diagonal", "source", "line")], "arrow",
+        "object 'line' lives in 'vect', not in the category or context"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_exit_3_on_each_refused_invocation(tmp_path, capsys, case):
+    """An invocation or workspace the CLI refuses: exit 3, one spec error
+    line with the refusal's words, no report and no traceback."""
+    from commacat import cli
+    command, edits, workspace, words = REFUSED[case]
+    doc = _edited(workspace, edits or ())
+    spec = tmp_path / "refused.json"
+    spec.write_text(json.dumps(doc if edits is not None else [doc]))
+    out = tmp_path / "r.json"
+    assert cli.main([*command, "--spec", str(spec), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spec error:"), captured.err
+    assert words in lines[0], captured.err
+    assert not out.exists() and captured.out == ""
+
+
+def test_validate_skips_a_context_whose_flags_do_not_open_it(tmp_path):
+    """A context whose declared functor flags do not open the abelian
+    interface is reported as skipped, not audited, and is no failure."""
+    from commacat import cli
+    spec = {
+        "schema": "commacat-workspace/1",
+        "field_modulus": 2,
+        "categories": {"vect": {"kind": "finvect"}},
+        "functors": {
+            "shift": {"kind": "one_plus", "category": "vect"},
+            "carrier": {"kind": "identity", "category": "vect"},
+        },
+        "contexts": {"lopsided": {"kind": "comma", "left": "shift",
+                                  "right": "carrier"}},
+    }
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--spec", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["results"]["contexts"] == {"lopsided": {
+        "skipped": "declared functor flags do not open the abelian interface"}}
+    assert doc["results"]["failures"] == 0
 
 
 def test_exit_1_on_false_declaration(tmp_path):

@@ -66,6 +66,22 @@ def test_key_rule_matches_on_every_arrow_object_of_dimension_4():
     assert all(_same_as_the_oracle(cat, x) for x in objects)
 
 
+@pytest.mark.parametrize("name", ("arrow", "framed-cocomma"))
+def test_a_record_hashes_like_its_eager_twin(name):
+    """A record and the eager Subobject of the same pair hash alike, so
+    either finds the other in a set; a record compares unequal to
+    anything else, and its repr shows its key."""
+    cat = _contexts(2)[name]
+    x = max(cat.enumerate_objects(MAX_DIM[2]), key=cat.dim_total)
+    got, want = glued_subobjects(cat, x), eager_glued_subobjects(cat, x)
+    assert len(got) == len(want) > 2
+    for lazy, eager in zip(got, want):
+        assert hash(lazy) == hash(eager)
+        assert lazy in {eager} and eager in {lazy}
+        assert lazy != object() and not lazy == object()
+        assert repr(lazy) == f"GluedSubobject(key={lazy.key!r})"
+
+
 def _counting_solver(monkeypatch) -> dict:
     """Count the calls of CommaCategory._structure_solver, and the solves
     through what it returns that raise ExactnessViolation."""

@@ -188,8 +188,10 @@ def test_from_rows_equals_the_checked_subspace(p):
 
 
 def _equal_records() -> dict:
-    """Pairs of equal records built apart, one pair per record class that
-    keeps its hash, by class name."""
+    """Pairs of equal records built apart, by class name: one pair per
+    class that keeps its hash (Matrix, FinVect, Rep and the two glued
+    categories), and one per record those hash inside (Budget, Quiver,
+    FunctorSpec)."""
     def build():
         vect = FinVect(3, Budget(max_vectors=512))
         rep = Rep(Quiver(2, ((0, 1),)), 3)
