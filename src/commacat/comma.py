@@ -168,10 +168,10 @@ class CommaCategory(CategoryInstance):
     def __post_init__(self):
         f, g = self.left_functor, self.right_functor
         self._check_variance(f, g)
+        # each functor's source and target share a field (FunctorSpec), so
+        # equal targets put all three categories over one field
         if f.target != g.target:
             raise ValueError("functor targets disagree")
-        if f.source.field != g.source.field or f.source.field != f.target.field:
-            raise ValueError("all three categories must share one prime field")
 
     def _check_variance(self, f: FunctorSpec, g: FunctorSpec) -> None:
         if f.contravariant or g.contravariant:

@@ -307,15 +307,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, modulus: int, row_seq) -> "Subspace":
-        # the nonzero rows of an RREF are its first rank rows, a full-rank
-        # RREF with the same pivots, so the check of __post_init__ is moot
-        r = rref(Matrix.from_rows(row_seq, modulus, cols=ambient_dim))
-        n = ambient_dim
-        s = object.__new__(cls)
-        _set(s, "ambient_dim", n)
-        _set(s, "basis", _made(r.rank, n, modulus, r.matrix.entries[:r.rank * n]))
-        _set(s, "pivots", r.pivots)
-        return s
+        return _row_span(Matrix.from_rows(row_seq, modulus, cols=ambient_dim))
 
     def contains_vector(self, vec) -> bool:
         p = self.modulus
@@ -355,25 +347,36 @@ class Subspace:
         return True
 
 
+def _row_span(m: Matrix) -> Subspace:
+    """The row span of a valid matrix.  The nonzero rows of its RREF are
+    the first rank rows, a full-rank RREF with the same pivots, so the
+    check of Subspace.__post_init__ is moot."""
+    r = rref(m)
+    n = m.cols
+    s = object.__new__(Subspace)
+    _set(s, "ambient_dim", n)
+    _set(s, "basis", _made(r.rank, n, m.modulus, r.matrix.entries[:r.rank * n]))
+    _set(s, "pivots", r.pivots)
+    return s
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the null space {v : m v = 0} in the domain."""
     r = rref(m)
-    p = m.modulus
+    p, n = m.modulus, m.cols
     pivots = set(r.pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
-    rows = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
+    free = [c for c in range(n) if c not in pivots]
+    flat = [0] * (len(free) * n)
+    for j, f in enumerate(free):
+        flat[j * n + f] = 1
         for i, c in enumerate(r.pivots):
-            v[c] = -r.matrix.entry(i, f) % p
-        rows.append(v)
-    return Subspace.from_rows(m.cols, p, rows)
+            flat[j * n + c] = -r.matrix.entries[i * n + f] % p
+    return _row_span(_made(len(free), n, p, tuple(flat)))
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column span inside the codomain."""
-    return Subspace.from_rows(m.rows, m.modulus, [m.col(j) for j in range(m.cols)])
+    return _row_span(m.transpose())
 
 
 def solve(m: Matrix, target: Matrix):

@@ -289,3 +289,38 @@ def test_tensor_maps_m_to_kron_of_the_identity_and_m(p, w):
         fm = apply_on_morphism(f, m)
         assert (fm.source, fm.target) == (w * x, w * y)
         assert fm.data == _kron_identity(w, m.data)
+
+
+def _spec_between(kind, p_source, p_target):
+    """A spec of kind from a category over F_{p_source} to one over
+    F_{p_target}, with a parameter that fits it: FinVect for the kinds that
+    need it, else representations of the arrow quiver."""
+    k = KINDS[kind]
+    source = (FinVect(p_source) if k.source is FinVect
+              else Rep(ARROW_QUIVER, p_source))
+    target = source if k.endo and p_source == p_target else FinVect(p_target)
+    params = {"vertex": (0,), "arrow": (0,), "dim": (2,),
+              "source_object": (source.simples()[0],),
+              "target_object": (1,), None: ()}[k.param]
+    return FunctorSpec(kind, source, target, params)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_functor_spec_refuses_a_target_over_another_field(kind):
+    """Every kind, either way round; the same spec over one field builds."""
+    for p, q in ((3, 2), (2, 3)):
+        assert _spec_between(kind, p, p).source.field == p
+        with pytest.raises(ValueError, match="share one prime field"):
+            _spec_between(kind, p, q)
+
+
+def test_public_constructors_refuse_a_target_over_another_field():
+    """hom_from would read F_3 hom coordinates mod 2, and eval_vertex
+    would hand FinVect(2) a mod-3 matrix."""
+    rep3 = Rep(ARROW_QUIVER, 3)
+    for make in (lambda: hom_from(rep3, rep3.projective(0), VECT),
+                 lambda: eval_vertex(rep3, 0, VECT),
+                 lambda: dataclasses.replace(eval_vertex(REP, 0, VECT),
+                                             source=rep3)):
+        with pytest.raises(ValueError, match="share one prime field"):
+            make()

@@ -135,9 +135,11 @@ def _oracle_contexts():
 
 
 def test_jh_steps_match_the_walk_over_the_whole_up_set():
-    """jh_filtration reads each step from least_above; on each of the 278
-    nonzero objects of those contexts, its steps are the reference walk's,
-    key for key, under the canonical policy and three random seeds."""
+    """jh_filtration reads each step from SubobjectLattice.best_above
+    under minus the length, through SubobjectLattice.chain; on each of
+    the 278 nonzero objects of those contexts, its steps are the reference
+    walk's, key for key, under the canonical policy and three random
+    seeds."""
     seen = 0
     for cat, max_dim in _oracle_contexts():
         for x in cat.enumerate_objects(max_dim):

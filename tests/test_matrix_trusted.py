@@ -2,12 +2,13 @@
 the public constructors.  Every such result must still pass those checks,
 and the public constructors must still refuse bad input.  Also: each
 instance's flat_len agrees with counting the coordinates of a zero
-morphism, the default it replaces; Subspace.from_rows, which keeps the
-RREF it reads its basis off, agrees with the checked Subspace; and a
-record that keeps its hash agrees with an equal record that has not been
-hashed yet."""
+morphism, the default it replaces; Subspace.from_rows, kernel_basis and
+image_basis, which read their basis off one RREF, agree with the checked
+Subspace; and a record that keeps its hash agrees with an equal record
+that has not been hashed yet."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from commacat.linalg import (
     Subspace,
     block_diag,
     hstack,
+    image_basis,
     kernel_basis,
     quotient_map,
     rref,
@@ -55,7 +57,7 @@ def _results(rng, p, r, c, k):
     right = _random(rng, c, k, p)
     out = [a.mul(right), a.transpose(), hstack([a, _random(rng, r, k, p)]),
            vstack([a, _random(rng, k, c, p)]), block_diag([a, right]),
-           rref(a).matrix, kernel_basis(a).basis]
+           rref(a).matrix, kernel_basis(a).basis, image_basis(a).basis]
     # right-hand sides that are solvable, so the solutions are built too
     out.append(solve(a, a.mul(right)))
     out.append(solve_left(right, a.mul(right)))
@@ -187,11 +189,43 @@ def test_from_rows_equals_the_checked_subspace(p):
     assert deficient
 
 
+def _checked(n, p, rows):
+    """The subspace spanned by rows, through the public constructors: the
+    rows pass Matrix.from_rows and the basis passes Subspace's own check."""
+    s = Subspace.from_rows(n, p, rows)
+    return Subspace(n, Matrix(s.basis.rows, n, p, s.basis.entries))
+
+
+def _null_space(a):
+    """Every vector v with a v = 0, found by trying them all."""
+    return [v for v in itertools.product(range(a.modulus), repeat=a.cols)
+            if not any(sum(x * y for x, y in zip(a.row(i), v)) % a.modulus
+                       for i in range(a.rows))]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_kernel_and_image_bases_equal_the_checked_subspace(p):
+    """On random matrices of each shape up to 4x4, 0xn and nx0 included:
+    the kernel against the span of the whole null space, the image
+    against the span of the columns."""
+    rng = random.Random(p)
+    for r in range(5):
+        for c in range(5):
+            for _ in range(3):
+                a = _random(rng, r, c, p)
+                for got, want in (
+                        (kernel_basis(a), _checked(c, p, _null_space(a))),
+                        (image_basis(a), _checked(
+                            r, p, [a.col(j) for j in range(c)]))):
+                    assert (got.basis, got.pivots) == (want.basis, want.pivots)
+                    assert got == want and hash(got) == hash(want)
+
+
 def _equal_records() -> dict:
     """Pairs of equal records built apart, by class name: one pair per
-    class that keeps its hash (Matrix, FinVect, Rep and the two glued
-    categories), and one per record those hash inside (Budget, Quiver,
-    FunctorSpec)."""
+    class that keeps its hash (Matrix, FinVect, Rep, FunctorSpec and the
+    two glued categories), and one per record those hash inside (Budget,
+    Quiver)."""
     def build():
         vect = FinVect(3, Budget(max_vectors=512))
         rep = Rep(Quiver(2, ((0, 1),)), 3)

@@ -250,9 +250,21 @@ def test_rep_cokernel_raises_when_descent_fails(monkeypatch):
         rep.cokernel(rep.zero_morphism(x, x))
 
 
+@pytest.fixture
+def cold_functor_memo():
+    """apply_on_morphism keeps recent images.  A test that patches what a
+    kind's morphism map calls starts with none, so that no image an earlier
+    test left answers in place of the patched map, and ends with none, so
+    that no image built under the patch outlives it."""
+    apply_on_morphism.cache_clear()
+    yield
+    apply_on_morphism.cache_clear()
+
+
 @pytest.mark.parametrize("make, solver", [(arrow_kernel, "solve"),
                                           (arrow_cokernel, "solve_left")])
-def test_arrow_functors_raise_when_solve_fails(monkeypatch, make, solver):
+def test_arrow_functors_raise_when_solve_fails(monkeypatch, cold_functor_memo,
+                                                make, solver):
     rep = Rep(ARROW_QUIVER, 2)
     f = make(rep, 0, FinVect(2))
     monkeypatch.setattr(functors, solver, lambda *args: None)

@@ -33,5 +33,6 @@ def test_layer_metrics_cache_sites_exist():
                  # cleared before every pass, so that no pass starts warm
                  "commacat.comma._glued_kernel",
                  "commacat.comma._glued_cokernel",
+                 "commacat.functors.apply_on_morphism",
                  "commacat.stability.shared_classes"):
         assert name in sites
